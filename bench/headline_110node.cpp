@@ -46,12 +46,10 @@ int main() {
         "looping persists throughout convergence");
 
   // Convergence hot-loop wall clock: the same headline scenario, timed
-  // cold (no prelude cache), stepping through the performance levers —
-  // shared paths on the heap scheduler, interned paths on the heap,
-  // interned paths on the timer wheel, and finally the ring-backed data
-  // plane on top. All four runs are bit-identical in output (checked
-  // below), so the wall-clock deltas are pure engine speed — the numbers
-  // the BENCH_ artifact tracks over time.
+  // cold (no prelude cache), with shared and with interned AS paths. Both
+  // runs are bit-identical in output (checked below), so the wall-clock
+  // delta is pure engine speed — the numbers the BENCH_ artifact tracks
+  // over time.
   std::printf("\nconvergence hot-loop wall clock (1 cold trial):\n");
   core::Scenario hot;
   hot.topology.kind = core::TopologyKind::kInternet;
@@ -60,14 +58,12 @@ int main() {
   hot.event = core::EventKind::kTdown;
   hot.bgp.mrai = sim::SimTime::seconds(30.0);
   hot.seed = 3;
-  const auto timed = [&](bool interning, bool wheel, bool rings) {
+  const auto timed = [&](bool interning) {
     core::RunOptions options;
     options.trials = 1;
     options.jobs = 1;
     options.snap_cache = false;
     options.path_interning = interning;
-    options.timer_wheel = wheel;
-    options.dataplane_rings = rings;
     const auto start = std::chrono::steady_clock::now();
     core::TrialSet result = core::run_trials(hot, options);
     const double wall_s =
@@ -75,10 +71,8 @@ int main() {
             .count();
     return std::pair{wall_s, std::move(result)};
   };
-  const auto [plain_s, plain] = timed(false, false, false);
-  const auto [interned_s, interned] = timed(true, false, false);
-  const auto [wheel_s, wheel] = timed(true, true, false);
-  const auto [rings_s, rings] = timed(true, true, true);
+  const auto [plain_s, plain] = timed(false);
+  const auto [interned_s, interned] = timed(true);
 
   core::Table hot_table{
       {"config", "wall clock (s)", "convergence (s)", "events fired"}};
@@ -88,22 +82,14 @@ int main() {
                        core::fmt(r.convergence_time_s.mean, 1),
                        std::to_string(r.runs.front().events_fired)});
   };
-  hot_row("shared paths + heap", plain_s, plain);
-  hot_row("interned paths + heap", interned_s, interned);
-  hot_row("interned paths + wheel", wheel_s, wheel);
-  hot_row("interned paths + wheel + ring plane", rings_s, rings);
+  hot_row("shared paths", plain_s, plain);
+  hot_row("interned paths", interned_s, interned);
   hot_table.print(std::cout);
   emit_table(hot_table, "convergence hot-loop wall clock");
 
-  const auto invariant = [&](const core::TrialSet& r) {
-    return r.convergence_time_s.mean == plain.convergence_time_s.mean &&
-           r.runs.front().events_fired == plain.runs.front().events_fired;
-  };
-  check(invariant(interned),
+  check(interned.convergence_time_s.mean == plain.convergence_time_s.mean &&
+            interned.runs.front().events_fired ==
+                plain.runs.front().events_fired,
         "interning is output-invariant on the headline scenario");
-  check(invariant(wheel),
-        "the timer wheel is output-invariant on the headline scenario");
-  check(invariant(rings),
-        "the ring data plane is output-invariant on the headline scenario");
   return 0;
 }

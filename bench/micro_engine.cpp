@@ -127,12 +127,11 @@ BENCHMARK(BM_AsPathPrepended)->Arg(0)->Arg(1);
 void BM_ConvergenceHotLoop(benchmark::State& state) {
   // End to end: cold convergence + Tdown churn + packet draining on a
   // clique — the loop the figure benches spend their time in. range(0)
-  // toggles path interning, range(1) the timer-wheel scheduler; every
-  // setting produces identical outputs (the digest-equality suites enforce
-  // it), so the deltas are pure speed.
+  // toggles path interning; both settings produce identical outputs (the
+  // digest-equality suite enforces it), so the delta is pure speed.
   core::Scenario s;
   s.topology.kind = core::TopologyKind::kClique;
-  s.topology.size = static_cast<std::size_t>(state.range(2));
+  s.topology.size = static_cast<std::size_t>(state.range(1));
   s.event = core::EventKind::kTdown;
   s.bgp.mrai = sim::SimTime::seconds(30);
   s.seed = 1;
@@ -141,7 +140,6 @@ void BM_ConvergenceHotLoop(benchmark::State& state) {
   options.jobs = 1;
   options.snap_cache = false;  // time the cold prelude every iteration
   options.path_interning = state.range(0) != 0;
-  options.timer_wheel = state.range(1) != 0;
   std::uint64_t events = 0;
   for (auto _ : state) {
     const core::TrialSet set = core::run_trials(s, options);
@@ -151,10 +149,9 @@ void BM_ConvergenceHotLoop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_ConvergenceHotLoop)
-    ->ArgNames({"intern", "wheel", "n"})
-    ->Args({0, 0, 12})
-    ->Args({1, 0, 12})
-    ->Args({1, 1, 12})
+    ->ArgNames({"intern", "n"})
+    ->Args({0, 12})
+    ->Args({1, 12})
     ->Unit(benchmark::kMillisecond);
 
 void BM_PacketForwardingThroughput(benchmark::State& state) {

@@ -2,9 +2,8 @@
 // settings, every run checked by the full invariant oracle.
 //
 //   fuzz_scenarios [--iters N] [--seed S] [--verbose] [--snap-check]
-//                  [--wheel-check] [--dataplane-check] [--multiprefix]
-//   fuzz_scenarios --replay SCENARIO_SEED [--snap-check] [--wheel-check]
-//                  [--dataplane-check] [--multiprefix]
+//                  [--multiprefix]
+//   fuzz_scenarios --replay SCENARIO_SEED [--snap-check] [--multiprefix]
 //   fuzz_scenarios --canary [...]     # arm a deliberately wrong invariant
 //                                     # to demonstrate the failure path
 //
@@ -12,19 +11,9 @@
 // mid-run snapshot save/restore/re-save round-trip — and fails (with a
 // --replay line) if the round-trip changes the outcome fingerprint.
 //
-// --wheel-check re-runs every clean iteration under the opposite event
-// scheduler (timer wheel vs binary heap, BGPSIM_TIMER_WHEEL) and fails if
-// the fingerprints differ; a clean campaign prints the same digest as a
-// plain run.
-//
-// --dataplane-check does the same for the data-plane hop store (per-tick
-// FIFO rings vs binary heap, BGPSIM_DATAPLANE_RINGS): every clean
-// iteration re-runs under the opposite backend and must fingerprint
-// identically.
-//
 // --multiprefix additionally draws a prefix count from {2, 4, 8, 16} (and
 // sometimes scattered origins) per scenario, fuzzing the SoA RIB and
-// batched decision paths; composes with --snap-check / --wheel-check.
+// batched decision paths; composes with --snap-check.
 //
 // BGPSIM_FUZZ_ITERS overrides the default iteration count (100).
 // Exit status: 0 = every iteration clean, 1 = failures (replay lines
@@ -70,8 +59,7 @@ class CanaryInvariant final : public check::Invariant {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--iters N] [--seed S] [--replay SCENARIO_SEED] "
-               "[--verbose] [--canary] [--snap-check] [--wheel-check] "
-               "[--dataplane-check] [--multiprefix]\n",
+               "[--verbose] [--canary] [--snap-check] [--multiprefix]\n",
                argv0);
   std::exit(2);
 }
@@ -100,10 +88,6 @@ int main(int argc, char** argv) {
       canary = true;
     } else if (arg == "--snap-check") {
       options.snap_check = true;
-    } else if (arg == "--wheel-check") {
-      options.wheel_check = true;
-    } else if (arg == "--dataplane-check") {
-      options.dataplane_check = true;
     } else if (arg == "--multiprefix") {
       options.multiprefix = true;
     } else {

@@ -34,23 +34,23 @@ class Speaker {
   struct Hooks {
     /// Every UPDATE put on the wire (the convergence-time clock).
     std::function<void(net::NodeId from, net::NodeId to, const UpdateMsg&)>
-        on_update_sent;
+        on_update_sent{};
     /// Loc-RIB best-path changes (nullopt = destination now unreachable).
     std::function<void(net::NodeId node, net::Prefix,
                        const std::optional<AsPath>& best)>
-        on_best_changed;
+        on_best_changed{};
     /// Every UPDATE accepted off the wire (after the stray-peer filter,
     /// before the decision process).
     std::function<void(net::NodeId node, net::NodeId from, const UpdateMsg&)>
-        on_update_received;
+        on_update_received{};
     /// Session to `peer` observed up/down by this speaker.
     std::function<void(net::NodeId node, net::NodeId peer, bool up)>
-        on_session_changed;
+        on_session_changed{};
     /// An MRAI timer toward `peer` expired; `was_pending` says whether a
     /// deferred decision was waiting behind it.
     std::function<void(net::NodeId node, net::NodeId peer, net::Prefix,
                        bool was_pending)>
-        on_mrai_expired;
+        on_mrai_expired{};
   };
 
   /// `store` binds this speaker's RIB facades to the network's shared SoA

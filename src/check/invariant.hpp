@@ -55,7 +55,7 @@ struct Context {
   /// names prefix p's origin AS. Both default to the single-prefix shape
   /// (count 1, empty origins → everything originates at `destination`).
   std::size_t prefix_count = 1;
-  std::vector<net::NodeId> origins;
+  std::vector<net::NodeId> origins{};
 
   /// The origin AS of `p`: origins[p] when provided, else `destination`
   /// for every prefix in range, else kInvalidNode (origin unknown —

@@ -8,9 +8,7 @@
 #include <system_error>
 
 #include "core/run_options.hpp"
-#include "fwd/engine.hpp"
 #include "sim/env.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace bgpsim::core::env {
@@ -35,13 +33,6 @@ constexpr Knob kRegistry[] = {
     {"BGPSIM_PATH_INTERN", "1",
      "per-experiment AS-path interning (bgp::PathStore); 0 = plain "
      "structural sharing, for A/B digest checks"},
-    {"BGPSIM_TIMER_WHEEL", "1",
-     "hierarchical timer-wheel scheduler with batched same-tick MRAI "
-     "delivery; 0 = (time, seq) binary heap, for A/B digest checks"},
-    {"BGPSIM_DATAPLANE_RINGS", "1",
-     "per-tick FIFO ring hop store in the data plane with batched "
-     "per-(node, prefix) FIB decisions; 0 = (time, seq) binary-heap hop "
-     "store, for A/B digest checks"},
     {"BGPSIM_PREFIXES", "256",
      "prefix-count cap for the multi-prefix bench sweep; sweep points "
      "above the cap are skipped"},
@@ -98,12 +89,6 @@ bool path_interning() {
   return sim::env_u64_or("BGPSIM_PATH_INTERN", 1) != 0;
 }
 
-bool timer_wheel() { return sim::env_u64_or("BGPSIM_TIMER_WHEEL", 1) != 0; }
-
-bool dataplane_rings() {
-  return sim::env_u64_or("BGPSIM_DATAPLANE_RINGS", 1) != 0;
-}
-
 const char* journal_dir() { return sim::env_raw("BGPSIM_JOURNAL_DIR"); }
 
 const char* admin_sock() { return sim::env_raw("BGPSIM_ADMIN_SOCK"); }
@@ -151,28 +136,6 @@ bool path_interning_enabled() {
 
 void set_path_interning(bool on) {
   g_path_interning.store(on ? 1 : 0, std::memory_order_release);
-}
-
-// The queue-backend toggle lives in sim/ (Simulator construction reads it
-// below core in the layer stack); the guard just drives it and restores
-// the exact previous override, -1 (env fallback) included.
-TimerWheelGuard::TimerWheelGuard(bool on)
-    : prev_{sim::queue_backend_override()} {
-  sim::set_queue_backend_override(on ? 1 : 0);
-}
-
-TimerWheelGuard::~TimerWheelGuard() { sim::set_queue_backend_override(prev_); }
-
-// Same shape for the data-plane hop store: the toggle lives in fwd/
-// (DataPlaneOptions resolves it at construction), the guard drives it and
-// restores the exact previous override, -1 (env fallback) included.
-DataPlaneRingsGuard::DataPlaneRingsGuard(bool on)
-    : prev_{fwd::plane_backend_override()} {
-  fwd::set_plane_backend_override(on ? 1 : 0);
-}
-
-DataPlaneRingsGuard::~DataPlaneRingsGuard() {
-  fwd::set_plane_backend_override(prev_);
 }
 
 }  // namespace bgpsim::core::detail

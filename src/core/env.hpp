@@ -2,7 +2,8 @@
 //
 // Every runtime knob the tree reads is declared here, once, with its
 // default and its documentation — docs/RUNNING.md's knob table mirrors
-// this registry (see registry() below). Each knob has a typed accessor;
+// this registry (see registry() below; tests/core/env_registry_docs_test
+// fails when they disagree). Each knob has a typed accessor;
 // RunOptions::defaults() is built from these, so a knob set in the
 // environment flows into every runner that doesn't explicitly override
 // the corresponding option.
@@ -71,18 +72,6 @@ struct Knob {
 /// BGPSIM_PATH_INTERN: per-experiment AS-path interning (bgp::PathStore);
 /// 0 disables (plain structural sharing, for A/B digest checks). Default 1.
 [[nodiscard]] bool path_interning();
-
-/// BGPSIM_TIMER_WHEEL: hierarchical timer-wheel scheduler with batched
-/// same-tick MRAI delivery; 0 falls back to the (time, seq) binary heap
-/// (strictly sequential delivery, for A/B digest checks). Outputs are
-/// bit-identical either way. Default 1.
-[[nodiscard]] bool timer_wheel();
-
-/// BGPSIM_DATAPLANE_RINGS: per-tick FIFO ring hop store in the data plane
-/// with batched per-(node, prefix) FIB decisions; 0 falls back to the
-/// (time, seq) binary-heap hop store (per-event reference, for A/B digest
-/// checks). Outputs are bit-identical either way. Default 1.
-[[nodiscard]] bool dataplane_rings();
 
 /// BGPSIM_JOURNAL_DIR: directory where bgpsimd and run_campaign --journal
 /// place campaign journals when given a bare file name instead of a path.

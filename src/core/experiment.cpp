@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -72,14 +74,20 @@ std::uint64_t scenario_prelude_hash(const Scenario& scenario) {
   h.mix(scenario.topology.size);
   h.mix(scenario.topology.topo_seed);
   if (scenario.topology.kind == TopologyKind::kRelFile) {
-    // Mixed only for this kind so every pre-existing prelude hash is
-    // unchanged (warm-start caches stay valid across this addition).
-    std::uint64_t path_hash = 1469598103934665603ULL;  // FNV-1a
-    for (const unsigned char c : scenario.topology.rel_file) {
-      path_hash ^= c;
-      path_hash *= 1099511628211ULL;
+    // The file's bytes, not its path, so an edited file misses the prelude
+    // cache instead of warm-starting from the old graph. Mixed only for
+    // this kind so every other prelude hash is unchanged. An unreadable
+    // file hashes as empty; building its topology throws before any
+    // prelude is cached.
+    std::ifstream in{scenario.topology.rel_file, std::ios::binary};
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::uint64_t content_hash = 1469598103934665603ULL;  // FNV-1a
+    for (const unsigned char c : std::move(bytes).str()) {
+      content_hash ^= c;
+      content_hash *= 1099511628211ULL;
     }
-    h.mix(path_hash);
+    h.mix(content_hash);
   }
   h.mix(scenario.policy_routing ? 1 : 0);
   h.mix_time(scenario.bgp.mrai);

@@ -4,9 +4,6 @@
 #include <exception>
 
 #include "core/experiment.hpp"
-#include "core/run_options.hpp"
-#include "fwd/engine.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 
 namespace bgpsim::core {
@@ -98,22 +95,18 @@ IterationResult run_once(Scenario scenario, std::uint64_t scenario_seed,
   return result;
 }
 
-/// Attach the seed-derived snap-check probe: the same scenario seed always
-/// probes at the same simulated time, so --replay reproduces a divergence
-/// exactly. Every pass schedules the identical probe event (kNoop just
-/// returns inside it), keeping event streams comparable across passes.
-void attach_snap_probe(Scenario& scenario, std::uint64_t scenario_seed) {
-  scenario.snap_roundtrip_after = sim::SimTime::seconds(
-      sim::Rng{scenario_seed}.child("snap-roundtrip").uniform(0.5, 30.0));
-  scenario.snap_roundtrip = SnapRoundtrip::kNoop;
-}
-
 IterationResult run_checked(std::uint64_t scenario_seed,
                             const FuzzOptions& options) {
   Scenario scenario = fuzz_scenario(scenario_seed, options.multiprefix);
   if (!options.snap_check) return run_once(scenario, scenario_seed, options);
 
-  attach_snap_probe(scenario, scenario_seed);
+  // The seed-derived snap-check probe: the same scenario seed always
+  // probes at the same simulated time, so --replay reproduces a divergence
+  // exactly. Both passes schedule the identical probe event (kNoop just
+  // returns inside it), keeping their event streams comparable.
+  scenario.snap_roundtrip_after = sim::SimTime::seconds(
+      sim::Rng{scenario_seed}.child("snap-roundtrip").uniform(0.5, 30.0));
+  scenario.snap_roundtrip = SnapRoundtrip::kNoop;
   IterationResult baseline = run_once(scenario, scenario_seed, options);
   if (baseline.failure) return baseline;
 
@@ -137,86 +130,6 @@ IterationResult run_checked(std::uint64_t scenario_seed,
         "outcome (baseline fingerprint " + std::to_string(baseline.fingerprint) +
         ", round-trip fingerprint " + std::to_string(verified.fingerprint) + ")";
     baseline.failure = std::move(failure);
-  }
-  return baseline;
-}
-
-IterationResult run_iteration(std::uint64_t scenario_seed,
-                              const FuzzOptions& options) {
-  IterationResult baseline = run_checked(scenario_seed, options);
-  if (baseline.failure) return baseline;
-
-  if (options.wheel_check) {
-    // Opposite-scheduler pass: the identical scenario (same snap-check
-    // probe when armed), pinned to the other queue backend for this run
-    // only. Its fingerprint — events fired, updates sent, loop metrics,
-    // convergence times — must match the default-backend baseline bit for
-    // bit.
-    Scenario scenario = fuzz_scenario(scenario_seed, options.multiprefix);
-    if (options.snap_check) attach_snap_probe(scenario, scenario_seed);
-    const bool wheel_now =
-        sim::default_queue_backend() == sim::QueueBackend::kWheel;
-    IterationResult other;
-    {
-      detail::TimerWheelGuard backend{!wheel_now};
-      other = run_once(scenario, scenario_seed, options);
-    }
-    if (other.failure) {
-      other.failure->error =
-          "wheel-check (opposite-scheduler pass): " +
-          (other.failure->error.empty() ? std::string{"invariant violations"}
-                                        : other.failure->error);
-      other.fingerprint = baseline.fingerprint;
-      return other;
-    }
-    if (other.fingerprint != baseline.fingerprint) {
-      FuzzFailure failure;
-      failure.scenario_seed = scenario_seed;
-      failure.label = scenario.label();
-      failure.error =
-          "scheduler divergence: " +
-          std::string{wheel_now ? "heap" : "wheel"} +
-          " re-run changed the outcome (baseline fingerprint " +
-          std::to_string(baseline.fingerprint) + ", opposite-scheduler " +
-          "fingerprint " + std::to_string(other.fingerprint) + ")";
-      baseline.failure = std::move(failure);
-      return baseline;
-    }
-  }
-
-  if (options.dataplane_check) {
-    // Opposite-hop-store pass, same contract as the wheel check: pin the
-    // data plane to the other backend (rings vs heap) and require the
-    // fingerprint to match the baseline exactly.
-    Scenario scenario = fuzz_scenario(scenario_seed, options.multiprefix);
-    if (options.snap_check) attach_snap_probe(scenario, scenario_seed);
-    const bool rings_now =
-        fwd::default_plane_backend() == fwd::PlaneBackend::kRings;
-    IterationResult other;
-    {
-      detail::DataPlaneRingsGuard backend{!rings_now};
-      other = run_once(scenario, scenario_seed, options);
-    }
-    if (other.failure) {
-      other.failure->error =
-          "dataplane-check (opposite-hop-store pass): " +
-          (other.failure->error.empty() ? std::string{"invariant violations"}
-                                        : other.failure->error);
-      other.fingerprint = baseline.fingerprint;
-      return other;
-    }
-    if (other.fingerprint != baseline.fingerprint) {
-      FuzzFailure failure;
-      failure.scenario_seed = scenario_seed;
-      failure.label = scenario.label();
-      failure.error =
-          "data-plane divergence: " +
-          std::string{rings_now ? "heap" : "ring"} +
-          " re-run changed the outcome (baseline fingerprint " +
-          std::to_string(baseline.fingerprint) + ", opposite-hop-store " +
-          "fingerprint " + std::to_string(other.fingerprint) + ")";
-      baseline.failure = std::move(failure);
-    }
   }
   return baseline;
 }
@@ -327,7 +240,7 @@ Scenario fuzz_scenario(std::uint64_t scenario_seed, bool multiprefix) {
 
 std::optional<FuzzFailure> replay_fuzz_scenario(std::uint64_t scenario_seed,
                                                 const FuzzOptions& options) {
-  IterationResult result = run_iteration(scenario_seed, options);
+  IterationResult result = run_checked(scenario_seed, options);
   if (options.out) {
     if (result.failure) {
       *options.out << result.failure->to_string() << "\n";
@@ -343,7 +256,7 @@ FuzzReport run_fuzz(const FuzzOptions& options) {
   std::uint64_t digest = kFnvOffset;
   for (std::size_t i = 0; i < options.iters; ++i) {
     const std::uint64_t seed = fuzz_scenario_seed(options.seed, i);
-    IterationResult result = run_iteration(seed, options);
+    IterationResult result = run_checked(seed, options);
     digest = fnv_mix(digest, result.fingerprint);
     ++report.iterations;
     if (result.failure) {

@@ -41,21 +41,6 @@ struct FuzzOptions {
   /// fingerprints differ. The probe offset is seed-derived, so a divergence
   /// reproduces exactly via --replay.
   bool snap_check = false;
-  /// Scheduler differential checking: re-run every clean iteration under
-  /// the opposite event-queue backend (timer wheel vs binary heap, see
-  /// BGPSIM_TIMER_WHEEL) and fail the iteration if the two executions'
-  /// fingerprints differ. Composes with snap_check: the opposite-scheduler
-  /// pass then carries the same no-op probe so event streams stay
-  /// comparable. The reported digest is always the default-backend one, so
-  /// a clean --wheel-check campaign prints the same digest as a plain run.
-  bool wheel_check = false;
-  /// Data-plane differential checking: re-run every clean iteration under
-  /// the opposite hop-store backend (per-tick FIFO rings vs binary heap,
-  /// see BGPSIM_DATAPLANE_RINGS) and fail the iteration if the two
-  /// executions' fingerprints differ. Composes with snap_check and
-  /// wheel_check the same way wheel_check does; the reported digest is
-  /// always the default-backend one.
-  bool dataplane_check = false;
   /// Multi-prefix fuzzing (opt-in): every scenario additionally draws a
   /// prefix count from {2, 4, 8, 16} and, half the time, a set of random
   /// extra origins — exercising the SoA RIB, batched decision processing,

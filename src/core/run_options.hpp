@@ -1,17 +1,19 @@
 // Options for the trial runners — the one knobs struct consumed by
 // core::run_trials, the svc campaign coordinator, and the benches.
 //
-// This replaces the accreted positional parameter lists
-// (run_trials(base, trials) / run_trials_parallel(base, trials, jobs) plus
-// per-call-site env lookups); those signatures survive as deprecated thin
-// shims over this struct.
-//
 // Environment defaults (core/env.hpp registry): a field left at its
 // neutral value resolves against the corresponding knob at run time —
 // jobs == 0 resolves to env::jobs(), snap_cache/path_interning are
 // additionally gated by BGPSIM_SNAP_CACHE / BGPSIM_PATH_INTERN — so the
 // environment configures every runner without each call site re-reading
 // it, and an explicit field always wins in the off direction.
+//
+// The engine's backends are fixed: the timer-wheel event queue
+// (sim::QueueBackend::kWheel) and the per-tick ring hop store
+// (fwd::PlaneBackend::kRings). Their binary-heap references are reachable
+// only by constructing an EventQueue/Simulator or DataPlane explicitly,
+// which the differential tests and microbenchmarks do; no option, knob,
+// or process-wide setting selects them.
 #pragma once
 
 #include <cstddef>
@@ -49,21 +51,6 @@ struct RunOptions {
   /// BGPSIM_PATH_INTERN != 0.
   bool path_interning = true;
 
-  /// Hierarchical timer-wheel event scheduling with batched same-tick
-  /// MRAI delivery (sim::QueueBackend::kWheel). Outputs are bit-identical
-  /// either way (the wheel digest-equality suite enforces this); false
-  /// falls back to the (time, seq) binary heap with strictly sequential
-  /// delivery — the A/B lever. true still requires BGPSIM_TIMER_WHEEL != 0.
-  bool timer_wheel = true;
-
-  /// Per-tick FIFO ring hop store in the data plane with batched
-  /// per-(node, prefix) FIB decisions (fwd::PlaneBackend::kRings). Outputs
-  /// are bit-identical either way (the data-plane digest-equality suite
-  /// enforces this); false falls back to the (time, seq) binary-heap hop
-  /// store with a per-packet FIB lookup — the A/B lever. true still
-  /// requires BGPSIM_DATAPLANE_RINGS != 0.
-  bool dataplane_rings = true;
-
   /// Caller-owned route-change trace sink, applied to every trial (forces
   /// serial execution and bypasses the prelude cache). Overrides
   /// Scenario::trace when non-null.
@@ -96,35 +83,6 @@ class PathInterningGuard {
 
  private:
   bool prev_;
-};
-
-/// RAII: pin the event-queue backend (sim::set_queue_backend_override)
-/// for the duration of a run, restoring the exact previous override on
-/// exit. Out-of-line so this header stays free of sim/ includes.
-class TimerWheelGuard {
- public:
-  explicit TimerWheelGuard(bool on);
-  ~TimerWheelGuard();
-  TimerWheelGuard(const TimerWheelGuard&) = delete;
-  TimerWheelGuard& operator=(const TimerWheelGuard&) = delete;
-
- private:
-  int prev_;
-};
-
-/// RAII: pin the data-plane hop-store backend
-/// (fwd::set_plane_backend_override) for the duration of a run, restoring
-/// the exact previous override on exit. Out-of-line so this header stays
-/// free of fwd/ includes.
-class DataPlaneRingsGuard {
- public:
-  explicit DataPlaneRingsGuard(bool on);
-  ~DataPlaneRingsGuard();
-  DataPlaneRingsGuard(const DataPlaneRingsGuard&) = delete;
-  DataPlaneRingsGuard& operator=(const DataPlaneRingsGuard&) = delete;
-
- private:
-  int prev_;
 };
 
 }  // namespace detail

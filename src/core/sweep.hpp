@@ -45,15 +45,6 @@ struct TrialSet {
 [[nodiscard]] TrialSet run_trials(const Scenario& base,
                                   const RunOptions& options);
 
-/// Deprecated shim: run_trials(base, {.trials = trials, .jobs = 1}).
-[[deprecated("use run_trials(base, RunOptions{...})")]] [[nodiscard]]
-TrialSet run_trials(Scenario base, std::size_t trials);
-
-/// Deprecated shim: run_trials(base, {.trials = trials, .jobs = jobs}).
-[[deprecated("use run_trials(base, RunOptions{...})")]] [[nodiscard]]
-TrialSet run_trials_parallel(Scenario base, std::size_t trials,
-                             std::size_t jobs = 0);
-
 /// Worker count used when RunOptions::jobs == 0: env::jobs() — the
 /// BGPSIM_JOBS environment variable if set and valid, otherwise
 /// std::thread::hardware_concurrency(); never less than 1.

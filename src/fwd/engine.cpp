@@ -1,54 +1,10 @@
 #include "fwd/engine.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <utility>
 
-#include "sim/env.hpp"
-
 namespace bgpsim::fwd {
-
-namespace {
-// -1 = no override (fall back to the env knob on each read).
-std::atomic<int> g_plane_backend_override{-1};
-}  // namespace
-
-void set_plane_backend_override(int backend) {
-  g_plane_backend_override.store(backend, std::memory_order_release);
-}
-
-int plane_backend_override() {
-  return g_plane_backend_override.load(std::memory_order_acquire);
-}
-
-PlaneBackend default_plane_backend() {
-  const int o = plane_backend_override();
-  if (o >= 0) return o != 0 ? PlaneBackend::kRings : PlaneBackend::kHeap;
-  return sim::env_u64_or("BGPSIM_DATAPLANE_RINGS", 1) != 0
-             ? PlaneBackend::kRings
-             : PlaneBackend::kHeap;
-}
-
-namespace {
-
-/// Adapter behind the deprecated set_fate_handler: unrolls each batch
-/// into the legacy per-packet callback.
-class LegacyFateAdapter final : public FateSink {
- public:
-  explicit LegacyFateAdapter(DataPlane::FateHandler handler)
-      : handler_{std::move(handler)} {}
-  void on_fates(std::span<const FateRecord> batch) override {
-    for (const FateRecord& r : batch) {
-      handler_(r.packet, r.fate, r.where, r.when);
-    }
-  }
-
- private:
-  DataPlane::FateHandler handler_;
-};
-
-}  // namespace
 
 DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
                      std::vector<Fib>& fibs, DataPlaneOptions options)
@@ -67,52 +23,19 @@ DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
   });
 }
 
-DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
-                     std::vector<Fib>& fibs, net::NodeId destination,
-                     net::Prefix prefix)
-    : DataPlane{simulator, topology, fibs, [&] {
-                  DataPlaneOptions o;
-                  o.destinations.assign(prefix + 1, net::kInvalidNode);
-                  o.destinations[prefix] = destination;
-                  return o;
-                }()} {
-  legacy_primary_ = prefix;
-}
-
-void DataPlane::register_destination(net::Prefix prefix, net::NodeId node) {
-  if (prefix >= destinations_.size()) {
-    destinations_.resize(prefix + 1, net::kInvalidNode);
-  }
-  destinations_[prefix] = node;
-  // The destination table has no version counter; drop the whole decision
-  // cache instead (registration happens at setup, never per hop).
-  cache_.clear();
-  cache_stride_ = 0;
-}
-
-void DataPlane::set_fate_handler(FateHandler h) {
-  legacy_adapter_ = std::make_unique<LegacyFateAdapter>(std::move(h));
-  sink_ = legacy_adapter_.get();
-}
-
 std::uint64_t DataPlane::inject(const Injection& injection) {
-  return inject_impl(injection.prefix, injection.source, injection.ttl);
-}
-
-std::uint64_t DataPlane::inject_impl(net::Prefix prefix, net::NodeId source,
-                                     int ttl) {
-  assert(prefix < destinations_.size() &&
-         destinations_[prefix] != net::kInvalidNode);
+  assert(injection.prefix < destinations_.size() &&
+         destinations_[injection.prefix] != net::kInvalidNode);
   Packet p;
   p.id = next_packet_id_++;
-  p.source = source;
-  p.prefix = prefix;
-  p.ttl = ttl;
+  p.source = injection.source;
+  p.prefix = injection.prefix;
+  p.ttl = injection.ttl;
   p.sent_at = sim_.now();
   ++counters_.injected;
   ++in_flight_;
   // The packet "arrives" at its own source with no delay.
-  arrive(source, p);
+  arrive(injection.source, p);
   flush_fates();
   return p.id;
 }

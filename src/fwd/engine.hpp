@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <utility>
@@ -18,23 +16,12 @@
 
 namespace bgpsim::fwd {
 
-/// In-flight hop store backend. kRings (the default) keeps packets in
-/// flat per-arrival-tick FIFO rings; kHeap is the (time, seq)
-/// binary-heap reference. Pop order,
-/// seq assignment, bridge arming, and trial digests are bit-identical
-/// either way — the A/B lever behind BGPSIM_DATAPLANE_RINGS.
+/// In-flight hop store backend. kRings, the engine's store, keeps packets
+/// in flat per-arrival-tick FIFO rings; kHeap is the (time, seq)
+/// binary-heap reference that only the differential tests and
+/// microbenchmarks construct. Pop order, seq assignment, bridge arming,
+/// and trial digests are bit-identical either way.
 enum class PlaneBackend : std::uint8_t { kHeap = 0, kRings = 1 };
-
-/// Resolve the backend for a new DataPlane: the process-wide override if
-/// set, else the BGPSIM_DATAPLANE_RINGS environment knob (default rings).
-[[nodiscard]] PlaneBackend default_plane_backend();
-
-/// Process-wide backend override: 0 = heap, 1 = rings, -1 = clear (fall
-/// back to the env knob). Mirrors sim::set_queue_backend_override — the
-/// RunOptions engine drives it around a run via core::detail::
-/// DataPlaneRingsGuard.
-void set_plane_backend_override(int backend);
-[[nodiscard]] int plane_backend_override();
 
 /// Construction-time configuration of a DataPlane.
 struct DataPlaneOptions {
@@ -42,9 +29,9 @@ struct DataPlaneOptions {
   /// terminate at destinations[p]. net::kInvalidNode marks a hole (no
   /// destination registered for that prefix).
   std::vector<net::NodeId> destinations;
-  /// Hop-store backend; resolved from the override/env knob when the
-  /// options object is built.
-  PlaneBackend backend = default_plane_backend();
+  /// Hop-store backend. Only the differential tests and microbenchmarks
+  /// set kHeap.
+  PlaneBackend backend = PlaneBackend::kRings;
 
   /// The study's setting: one prefix (0), one destination.
   [[nodiscard]] static DataPlaneOptions single(net::NodeId destination) {
@@ -72,9 +59,10 @@ struct Injection {
 /// The slot draws its FIFO tie-break seq from the simulator's counter, so
 /// firing order against control-plane events is identical to scheduling a
 /// real event. Two interchangeable stores exist (PlaneBackend): the ring
-/// store appends each hop to the FIFO ring of its arrival tick (O(1), no
-/// percolation) and drains whole tick cohorts in order; the heap store is
-/// the per-event reference. Forwarding decisions are served from a
+/// store, used by every run, appends each hop to the FIFO ring of its
+/// arrival tick (O(1), no percolation) and drains whole tick cohorts in
+/// order; the heap store is the per-event reference the differential
+/// tests replay against it. Forwarding decisions are served from a
 /// (node, prefix) cache stamp-validated against the FIB and topology
 /// version counters, so the full FIB/link lookup runs once per routing
 /// change instead of once per hop. Both stores reproduce the same
@@ -83,49 +71,16 @@ struct Injection {
 /// across backends.
 class DataPlane {
  public:
-  /// Legacy per-packet fate callback (see set_fate_handler).
-  using FateHandler = std::function<void(const Packet&, PacketFate,
-                                         net::NodeId where, sim::SimTime when)>;
-
   DataPlane(sim::Simulator& simulator, const net::Topology& topology,
             std::vector<Fib>& fibs, DataPlaneOptions options);
-
-  [[deprecated("use DataPlane(sim, topo, fibs, DataPlaneOptions) — "
-               "DataPlaneOptions::single(destination) for the one-prefix "
-               "case")]] DataPlane(sim::Simulator& simulator,
-                                  const net::Topology& topology,
-                                  std::vector<Fib>& fibs,
-                                  net::NodeId destination, net::Prefix prefix);
-
-  [[deprecated("pass every destination in DataPlaneOptions::destinations "
-               "at construction")]] void
-  add_destination(net::Prefix prefix, net::NodeId node) {
-    register_destination(prefix, node);
-  }
 
   /// Attach the (non-owning) terminal-fate consumer: one on_fates call
   /// per drained tick. Null detaches.
   void set_fate_sink(FateSink* sink) { sink_ = sink; }
 
-  [[deprecated("implement FateSink and use set_fate_sink — fates now "
-               "arrive batched per drained tick")]] void
-  set_fate_handler(FateHandler h);
-
   /// Originate a fresh packet; returns its id. The injection's prefix
   /// must have a registered destination.
   std::uint64_t inject(const Injection& injection);
-
-  [[deprecated("use inject(Injection{.source = ..., .ttl = ...})")]]
-  std::uint64_t inject(net::NodeId source, int ttl = kDefaultTtl) {
-    return inject_impl(legacy_primary_, source, ttl);
-  }
-
-  [[deprecated("use inject(Injection{.source = ..., .prefix = ..., "
-               ".ttl = ...})")]]
-  std::uint64_t inject_for(net::Prefix prefix, net::NodeId source,
-                           int ttl = kDefaultTtl) {
-    return inject_impl(prefix, source, ttl);
-  }
 
   [[nodiscard]] PlaneBackend backend() const { return backend_; }
 
@@ -191,8 +146,6 @@ class DataPlane {
     Decision d;
   };
 
-  void register_destination(net::Prefix prefix, net::NodeId node);
-  std::uint64_t inject_impl(net::Prefix prefix, net::NodeId source, int ttl);
   void arrive(net::NodeId node, Packet packet);
   Decision decide(net::NodeId node, net::Prefix prefix) const;
   const Decision& cached_decide(net::NodeId node, net::Prefix prefix) const;
@@ -209,10 +162,8 @@ class DataPlane {
   const net::Topology& topo_;
   std::vector<Fib>& fibs_;
   std::vector<net::NodeId> destinations_;  // prefix-indexed, dense
-  net::Prefix legacy_primary_ = 0;         // deprecated inject()'s prefix
   FateSink* sink_ = nullptr;
-  std::unique_ptr<FateSink> legacy_adapter_;  // owns set_fate_handler's shim
-  std::vector<FateRecord> batch_;             // fates of the current tick
+  std::vector<FateRecord> batch_;  // fates of the current tick
 
   PlaneBackend backend_;
   std::priority_queue<HopEvent, std::vector<HopEvent>, std::greater<>> heap_;
@@ -222,8 +173,9 @@ class DataPlane {
   /// would otherwise be a malloc per hop).
   std::vector<std::vector<HopEvent>> ring_pool_;
   /// (node × prefix) decision cache, stamp-validated against the FIB and
-  /// topology version counters; rebuilt whenever the destination table
-  /// grows. Shared by both backends, so it cannot skew the A/B.
+  /// topology version counters; sized on first use, so a plane that never
+  /// forwards (a converging prelude) never allocates it. Shared by both
+  /// backends, so it cannot skew the differential tests.
   mutable std::vector<CachedDecision> cache_;
   mutable std::size_t cache_stride_ = 0;  // == destinations_.size()
 

@@ -1,34 +1,11 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <stdexcept>
 #include <utility>
 
-#include "sim/env.hpp"
-
 namespace bgpsim::sim {
-
-namespace {
-// -1 = no override (fall back to the BGPSIM_TIMER_WHEEL knob).
-std::atomic<int> g_backend_override{-1};
-}  // namespace
-
-QueueBackend default_queue_backend() {
-  const int v = g_backend_override.load(std::memory_order_acquire);
-  if (v >= 0) return v != 0 ? QueueBackend::kWheel : QueueBackend::kHeap;
-  return env_u64_or("BGPSIM_TIMER_WHEEL", 1) != 0 ? QueueBackend::kWheel
-                                                  : QueueBackend::kHeap;
-}
-
-void set_queue_backend_override(int backend) {
-  g_backend_override.store(backend, std::memory_order_release);
-}
-
-int queue_backend_override() {
-  return g_backend_override.load(std::memory_order_acquire);
-}
 
 EventQueue::EventQueue(QueueBackend backend) {
   if (backend == QueueBackend::kWheel) {

@@ -22,19 +22,10 @@ struct EventId {
 /// Which index structure orders pending events. Both deliver the exact
 /// same (time, seq) pop order and the same EventId stream for the same
 /// schedule history; the wheel additionally enables batched same-tick
-/// delivery (Simulator::burst_delivery). kHeap is the A/B reference.
+/// delivery (Simulator::burst_delivery). The wheel is the engine's
+/// backend; kHeap is the reference that only the differential tests and
+/// microbenchmarks construct, by passing it explicitly.
 enum class QueueBackend : int { kHeap = 0, kWheel = 1 };
-
-/// Backend a default-constructed EventQueue (and Simulator) uses: the
-/// process-wide override when set, else the BGPSIM_TIMER_WHEEL env knob
-/// (default: the wheel).
-[[nodiscard]] QueueBackend default_queue_backend();
-
-/// Process-wide backend override for RunOptions-driven A/B runs: 0 forces
-/// the heap, 1 the wheel, -1 clears back to the env knob. Applied by
-/// core::detail::TimerWheelGuard around a run.
-void set_queue_backend_override(int backend);
-[[nodiscard]] int queue_backend_override();
 
 /// Priority queue of (time, callback) pairs.
 ///
@@ -61,7 +52,7 @@ class EventQueue {
  public:
   using Callback = sim::Callback;
 
-  explicit EventQueue(QueueBackend backend = default_queue_backend());
+  explicit EventQueue(QueueBackend backend = QueueBackend::kWheel);
 
   [[nodiscard]] QueueBackend backend() const {
     return wheel_ ? QueueBackend::kWheel : QueueBackend::kHeap;

@@ -19,7 +19,7 @@ enum class LogLevel { kOff = 0, kInfo = 1, kDebug = 2, kTrace = 3 };
 
 /// Process-wide log configuration and sink.
 ///
-/// Thread-safe: parallel trial runners (core::run_trials_parallel) emit
+/// Thread-safe: parallel trial runners (core::run_trials) emit
 /// through one simulation per worker thread but share this static state.
 /// The level is atomic (the hot `enabled` check stays lock-free) and the
 /// sink is invoked under a mutex, so concurrent writers never interleave

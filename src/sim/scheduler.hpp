@@ -1,4 +1,7 @@
-// The discrete-event simulator core.
+// The discrete-event simulator core. Pending events live in an EventQueue
+// indexed by the hierarchical timer wheel; its binary-heap reference index
+// is built only when a caller passes QueueBackend::kHeap, which the
+// differential tests and microbenchmarks do.
 #pragma once
 
 #include <cstdint>
@@ -22,18 +25,17 @@ class Simulator {
  public:
   using Callback = EventQueue::Callback;
 
-  /// The queue backend defaults to the process-wide resolution
-  /// (BGPSIM_TIMER_WHEEL / set_queue_backend_override); tests pin one
-  /// explicitly for differential runs.
-  explicit Simulator(QueueBackend backend = default_queue_backend())
+  /// The queue backend is the timer wheel; the differential tests and
+  /// microbenchmarks pass QueueBackend::kHeap to build the reference.
+  explicit Simulator(QueueBackend backend = QueueBackend::kWheel)
       : queue_{backend} {}
 
   [[nodiscard]] QueueBackend backend() const { return queue_.backend(); }
 
   /// True when components should gather coincident timer expiries into one
   /// batched delivery (see next_coincident_event). Tied to the wheel
-  /// backend so BGPSIM_TIMER_WHEEL=0 reproduces the strictly sequential
-  /// reference execution.
+  /// backend so the heap reference keeps the strictly sequential
+  /// execution.
   [[nodiscard]] bool burst_delivery() const {
     return queue_.backend() == QueueBackend::kWheel;
   }

@@ -7,7 +7,7 @@
 // the pool can be reused across submission rounds.
 //
 // Tasks must not let exceptions escape (capture them into a slot instead,
-// as core::run_trials_parallel does) — an escaping exception terminates.
+// as core::run_trials does) — an escaping exception terminates.
 #pragma once
 
 #include <condition_variable>

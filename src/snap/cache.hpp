@@ -1,6 +1,6 @@
 // Process-wide cache of converged-prelude snapshots.
 //
-// run_trials / run_trials_parallel key each trial's Phase-1 prelude by
+// run_trials keys each trial's Phase-1 prelude by
 // (driver, topology spec, prelude-shaping config, seed). On a hit the
 // trial warm-starts from the cached snapshot instead of re-running cold
 // convergence; on a miss the cold run captures its converged state and

@@ -45,8 +45,8 @@ namespace bgpsim::snap {
 /// payloads carry a tag byte (0 = single UpdateMsg, 1 = UpdateBatch).
 /// v5: redesigned fwd API — the data plane's hop events are serialized in
 /// ascending (time µs, seq) order as an explicit backend-invariant
-/// contract (ring cohorts or binary heap, BGPSIM_DATAPLANE_RINGS), so
-/// snapshots are portable across hop-store backends; the bump fences off
+/// contract (ring cohorts or the binary-heap reference), so snapshots
+/// are portable across hop-store backends; the bump fences off
 /// v4 builds whose data plane cannot restore into a ring store.
 inline constexpr std::uint32_t kFormatVersion = 5;
 

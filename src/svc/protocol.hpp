@@ -162,7 +162,7 @@ void write_outcome(snap::Writer& w, const core::ExperimentOutcome& o);
 /// Content hash of a TrialSet's results: FNV-1a over the codec encoding
 /// of every run plus the six summaries. Two TrialSets with equal digests
 /// are bit-identical in everything the runs produced — this is the check
-/// that a merged campaign equals core::run_trials_parallel.
+/// that a merged campaign equals core::run_trials.
 [[nodiscard]] std::uint64_t trialset_digest(const core::TrialSet& set);
 
 /// Campaign-wide digest: trialset_digest of each set, folded in order.

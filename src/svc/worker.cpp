@@ -13,7 +13,10 @@
 namespace bgpsim::svc {
 
 int worker_loop(Connection conn, std::uint64_t worker_id) {
-  sim::Log::set_instance_tag("w" + std::to_string(worker_id));
+  // append rather than "w" + ...: GCC 12 at -O3 flags the operator+ form
+  // with a false -Wrestrict inside libstdc++.
+  sim::Log::set_instance_tag(
+      std::string{"w"}.append(std::to_string(worker_id)));
   try {
     Hello hello;
     hello.worker_id = worker_id;

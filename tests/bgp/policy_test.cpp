@@ -12,7 +12,7 @@ using net::RelationshipTable;
 
 // A small hierarchy:
 //     1 --- 2      (peers, the "core")
-//    /|      \
+//    /|      \     (provider -> customer links)
 //   3 4       5    (customers of the core)
 //   |
 //   6              (customer of 3: a chain)

@@ -32,9 +32,9 @@ class FateRecorder final : public FateSink {
   std::vector<Fate> fates;
 };
 
-/// Every test runs under both hop-store backends (heap and per-tick
-/// rings); the fixture pins the backend explicitly so the suite is
-/// independent of BGPSIM_DATAPLANE_RINGS.
+/// Every test runs under both hop-store backends: the per-tick rings the
+/// engine uses and the heap reference, which the fixture selects by
+/// passing it explicitly.
 class DataPlaneTest : public ::testing::TestWithParam<PlaneBackend> {
  protected:
   explicit DataPlaneTest(net::Topology topo = topo::make_chain(4))

@@ -53,8 +53,8 @@ TEST(Percentile, UnsortedInputHandled) {
 }
 
 TEST(Percentile, OutOfRangeThrows) {
-  EXPECT_THROW(percentile({1.0}, -1), std::invalid_argument);
-  EXPECT_THROW(percentile({1.0}, 101), std::invalid_argument);
+  EXPECT_THROW((void)percentile({1.0}, -1), std::invalid_argument);
+  EXPECT_THROW((void)percentile({1.0}, 101), std::invalid_argument);
 }
 
 TEST(FitLine, PerfectLine) {
@@ -87,7 +87,7 @@ TEST(FitLine, TooFewPointsIsZero) {
 }
 
 TEST(FitLine, SizeMismatchThrows) {
-  EXPECT_THROW(fit_line({1, 2}, {1}), std::invalid_argument);
+  EXPECT_THROW((void)fit_line({1, 2}, {1}), std::invalid_argument);
 }
 
 TEST(MeanPm, Formats) {

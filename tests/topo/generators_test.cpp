@@ -22,7 +22,9 @@ TEST(Clique, EveryPairAdjacent) {
   const auto t = make_clique(6);
   for (NodeId a = 0; a < 6; ++a) {
     for (NodeId b = 0; b < 6; ++b) {
-      if (a != b) EXPECT_TRUE(t.link_between(a, b).has_value());
+      if (a != b) {
+        EXPECT_TRUE(t.link_between(a, b).has_value());
+      }
     }
   }
 }
