@@ -21,11 +21,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "core/scenario.hpp"
 #include "core/scenario_file.hpp"
-#include "sim/time.hpp"
 
 namespace bgpsim::cli {
 
@@ -89,6 +90,15 @@ class Args {
     std::abort();  // unreachable: the usage handler exits
   }
 
+  /// Print "<prog>: <why>" and exit 2 (an operand the usage line cannot
+  /// explain, such as an unreadable --file).
+  [[noreturn]] void fail(const std::string& why) const {
+    const char* slash = std::strrchr(argv_[0], '/');
+    std::fprintf(stderr, "%s: %s\n", slash ? slash + 1 : argv_[0],
+                 why.c_str());
+    std::exit(2);
+  }
+
  private:
   int argc_;
   char** argv_;
@@ -107,56 +117,47 @@ inline constexpr const char* kScenarioUsage =
     "[--policy] [--prefixes P]";
 
 /// Try the current flag against the shared scenario flags; true when it
-/// was one of them (operand consumed, `s` updated). --file replaces the
-/// whole scenario, so it must precede any flag it should not override.
-/// --seed seeds both the trial RNG and the topology generator, matching
-/// every CLI's historical behavior.
+/// was one of them (operand consumed, `s` updated). Each flag sets the
+/// scenario-file key of the same meaning through core::apply_scenario_key,
+/// so names and validation are the file format's; a bad operand exits 2
+/// with the parser's message. --file replaces the whole scenario, so it
+/// must precede any flag it should not override. --seed seeds both the
+/// trial RNG and the topology generator, matching every CLI's historical
+/// behavior.
 inline bool apply_scenario_flag(Args& a, core::Scenario& s) {
   const std::string& arg = a.arg();
-  if (arg == "--file") {
-    s = core::load_scenario_file(a.value());
-  } else if (arg == "--topo") {
-    const std::string v = a.value();
-    if (v == "clique") s.topology.kind = core::TopologyKind::kClique;
-    else if (v == "bclique") s.topology.kind = core::TopologyKind::kBClique;
-    else if (v == "chain") s.topology.kind = core::TopologyKind::kChain;
-    else if (v == "ring") s.topology.kind = core::TopologyKind::kRing;
-    else if (v == "internet") s.topology.kind = core::TopologyKind::kInternet;
-    else if (v == "asgraph") s.topology.kind = core::TopologyKind::kAsGraph;
-    else if (v == "relfile") s.topology.kind = core::TopologyKind::kRelFile;
-    else a.fail();
-  } else if (arg == "--size") {
-    s.topology.size = a.value_size();
-  } else if (arg == "--rel-file") {
-    s.topology.kind = core::TopologyKind::kRelFile;
-    s.topology.rel_file = a.value();
-  } else if (arg == "--event") {
-    const std::string v = a.value();
-    if (v == "tdown") s.event = core::EventKind::kTdown;
-    else if (v == "tlong") s.event = core::EventKind::kTlong;
-    else if (v == "tup") s.event = core::EventKind::kTup;
-    else if (v == "flap") s.event = core::EventKind::kFlap;
-    else a.fail();
-  } else if (arg == "--proto") {
-    const std::string v = a.value();
-    if (v == "bgp") s.bgp = s.bgp.with(bgp::Enhancement::kStandard);
-    else if (v == "ssld") s.bgp = s.bgp.with(bgp::Enhancement::kSsld);
-    else if (v == "wrate") s.bgp = s.bgp.with(bgp::Enhancement::kWrate);
-    else if (v == "assertion") s.bgp = s.bgp.with(bgp::Enhancement::kAssertion);
-    else if (v == "ghost") s.bgp = s.bgp.with(bgp::Enhancement::kGhostFlushing);
-    else a.fail();
-  } else if (arg == "--mrai") {
-    s.bgp.mrai = sim::SimTime::seconds(a.value_double());
-  } else if (arg == "--seed") {
-    s.seed = a.value_u64();
-    s.topology.topo_seed = s.seed;
-  } else if (arg == "--policy") {
-    s.policy_routing = true;
-  } else if (arg == "--prefixes") {
-    s.prefixes = a.value_size();
-    if (s.prefixes == 0) a.fail();
-  } else {
-    return false;
+  const auto set = [&s](const char* key, const std::string& value) {
+    core::apply_scenario_key(s, key, value);
+  };
+  try {
+    if (arg == "--file") {
+      s = core::load_scenario_file(a.value());
+    } else if (arg == "--topo") {
+      set("topology", a.value());
+    } else if (arg == "--size") {
+      set("size", a.value());
+    } else if (arg == "--rel-file") {
+      set("topology", "relfile");
+      set("rel_file", a.value());
+    } else if (arg == "--event") {
+      set("event", a.value());
+    } else if (arg == "--proto") {
+      set("protocol", a.value());
+    } else if (arg == "--mrai") {
+      set("mrai", a.value());
+    } else if (arg == "--seed") {
+      const std::string seed = a.value();
+      set("seed", seed);
+      set("topo_seed", seed);
+    } else if (arg == "--policy") {
+      s.policy_routing = true;
+    } else if (arg == "--prefixes") {
+      set("prefixes", a.value());
+    } else {
+      return false;
+    }
+  } catch (const std::runtime_error& e) {
+    a.fail(e.what());
   }
   return true;
 }

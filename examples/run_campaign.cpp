@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
         std::fflush(stdout);
         for (std::size_t i = 0; i < workers; ++i) {
           svc::Connection conn = listener.accept_one(-1);
-          coordinator.add_worker(std::move(conn), -1, -1);
+          coordinator.add_worker(std::move(conn), -1);
         }
       } else if (use_tcp) {
         auto listener = svc::TcpListener::bind_localhost(0);
@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
               hello.worker_id < pids.size()
                   ? pids[static_cast<std::size_t>(hello.worker_id)]
                   : -1;
-          coordinator.add_worker(std::move(conn), pid, -1);
+          coordinator.add_worker(std::move(conn), pid);
         }
       } else if (use_fork) {
         for (std::size_t i = 0; i < workers; ++i) {

@@ -117,6 +117,11 @@ int main(int argc, char** argv) {
     // the snapshot's driver/topology/config/seed meta must match the flags.
     std::fprintf(stderr, "run_scenario: %s\n", e.what());
     return 1;
+  } catch (const std::runtime_error& e) {
+    // A run that leaves the model's regime (e.g. convergence past
+    // max_sim_time) is a reported outcome, not a crash.
+    std::fprintf(stderr, "run_scenario: %s\n", e.what());
+    return 1;
   }
 
   if (!save_state_path.empty()) {

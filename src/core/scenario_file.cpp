@@ -23,38 +23,130 @@ std::string trimmed(const std::string& raw) {
                            ": " + what};
 }
 
-double to_double(std::size_t line, const std::string& key,
-                 const std::string& value) {
+[[noreturn]] void bad(const std::string& what) {
+  throw std::runtime_error{what};
+}
+
+double to_double(const std::string& key, const std::string& value) {
   try {
     std::size_t used = 0;
     const double v = std::stod(value, &used);
     if (used != value.size()) throw std::invalid_argument{""};
     return v;
   } catch (...) {
-    fail(line, "bad numeric value for '" + key + "': " + value);
+    bad("bad numeric value for '" + key + "': " + value);
   }
 }
 
-std::uint64_t to_u64(std::size_t line, const std::string& key,
-                     const std::string& value) {
+std::uint64_t to_u64(const std::string& key, const std::string& value) {
   try {
     std::size_t used = 0;
     const auto v = std::stoull(value, &used);
     if (used != value.size()) throw std::invalid_argument{""};
     return v;
   } catch (...) {
-    fail(line, "bad integer value for '" + key + "': " + value);
+    bad("bad integer value for '" + key + "': " + value);
   }
 }
 
-bool to_bool(std::size_t line, const std::string& key,
-             const std::string& value) {
+bool to_bool(const std::string& key, const std::string& value) {
   if (value == "true" || value == "1" || value == "yes") return true;
   if (value == "false" || value == "0" || value == "no") return false;
-  fail(line, "bad boolean value for '" + key + "': " + value);
+  bad("bad boolean value for '" + key + "': " + value);
 }
 
 }  // namespace
+
+void apply_scenario_key(Scenario& s, const std::string& key,
+                        const std::string& value) {
+  if (key == "topology") {
+    if (value == "clique") s.topology.kind = TopologyKind::kClique;
+    else if (value == "bclique") s.topology.kind = TopologyKind::kBClique;
+    else if (value == "chain") s.topology.kind = TopologyKind::kChain;
+    else if (value == "ring") s.topology.kind = TopologyKind::kRing;
+    else if (value == "internet") s.topology.kind = TopologyKind::kInternet;
+    else if (value == "asgraph") s.topology.kind = TopologyKind::kAsGraph;
+    else if (value == "relfile") s.topology.kind = TopologyKind::kRelFile;
+    else bad("unknown topology: " + value);
+  } else if (key == "rel_file") {
+    s.topology.rel_file = value;
+  } else if (key == "size") {
+    s.topology.size = static_cast<std::size_t>(to_u64(key, value));
+  } else if (key == "topo_seed") {
+    s.topology.topo_seed = to_u64(key, value);
+  } else if (key == "event") {
+    if (value == "tdown") s.event = EventKind::kTdown;
+    else if (value == "tlong") s.event = EventKind::kTlong;
+    else if (value == "tup") s.event = EventKind::kTup;
+    else if (value == "flap") s.event = EventKind::kFlap;
+    else bad("unknown event: " + value);
+  } else if (key == "flap_s") {
+    const double v = to_double(key, value);
+    if (v <= 0) bad("flap_s must be positive");
+    s.flap_interval = sim::SimTime::seconds(v);
+  } else if (key == "protocol") {
+    if (value == "bgp") s.bgp = s.bgp.with(bgp::Enhancement::kStandard);
+    else if (value == "ssld") s.bgp = s.bgp.with(bgp::Enhancement::kSsld);
+    else if (value == "wrate") s.bgp = s.bgp.with(bgp::Enhancement::kWrate);
+    else if (value == "assertion")
+      s.bgp = s.bgp.with(bgp::Enhancement::kAssertion);
+    else if (value == "ghost")
+      s.bgp = s.bgp.with(bgp::Enhancement::kGhostFlushing);
+    else bad("unknown protocol: " + value);
+  } else if (key == "mrai") {
+    const double v = to_double(key, value);
+    if (v < 0) bad("mrai must be non-negative");
+    s.bgp.mrai = sim::SimTime::seconds(v);
+  } else if (key == "jitter_lo") {
+    s.bgp.jitter_lo = to_double(key, value);
+  } else if (key == "jitter_hi") {
+    s.bgp.jitter_hi = to_double(key, value);
+  } else if (key == "seed") {
+    s.seed = to_u64(key, value);
+  } else if (key == "policy") {
+    s.policy_routing = to_bool(key, value);
+  } else if (key == "destination") {
+    s.destination = static_cast<net::NodeId>(to_u64(key, value));
+  } else if (key == "tlong_link") {
+    s.tlong_link = static_cast<net::LinkId>(to_u64(key, value));
+  } else if (key == "processing_min_ms") {
+    s.processing.min = sim::SimTime::seconds(to_double(key, value) / 1000.0);
+  } else if (key == "processing_max_ms") {
+    s.processing.max = sim::SimTime::seconds(to_double(key, value) / 1000.0);
+  } else if (key == "traffic_pps") {
+    const double pps = to_double(key, value);
+    if (pps <= 0) bad("traffic_pps must be positive");
+    s.traffic.interval = sim::SimTime::seconds(1.0 / pps);
+  } else if (key == "ttl") {
+    s.traffic.ttl = static_cast<int>(to_u64(key, value));
+  } else if (key == "caution") {
+    const double v = to_double(key, value);
+    if (v < 0) bad("caution must be non-negative");
+    s.bgp.backup_caution = sim::SimTime::seconds(v);
+  } else if (key == "prefixes") {
+    // stoull wraps negatives silently, so reject the sign up front.
+    if (!value.empty() && value[0] == '-') {
+      bad("prefixes must be a positive count, got: " + value);
+    }
+    const auto n = to_u64(key, value);
+    if (n == 0) bad("prefixes must be at least 1, got: 0");
+    s.prefixes = static_cast<std::size_t>(n);
+  } else if (key == "origins") {
+    // Comma-separated origin AS list for prefixes >= 1 (applied cycled).
+    std::string rest = value;
+    while (!rest.empty()) {
+      const auto comma = rest.find(',');
+      const std::string item = trimmed(rest.substr(0, comma));
+      rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
+      if (item.empty()) bad("empty entry in 'origins' list");
+      if (item[0] == '-') bad("origin AS must be non-negative, got: " + item);
+      s.origins.push_back(static_cast<net::NodeId>(to_u64(key, item)));
+    }
+    if (s.origins.empty()) bad("empty 'origins' list");
+  } else {
+    bad("unknown key: " + key);
+  }
+}
 
 Scenario parse_scenario(std::istream& in) {
   Scenario s;
@@ -88,104 +180,16 @@ Scenario parse_scenario(std::istream& in) {
                         std::to_string(it->second) + ")");
     }
 
-    if (key == "topology") {
-      saw_topology = true;
-      if (value == "clique") s.topology.kind = TopologyKind::kClique;
-      else if (value == "bclique") s.topology.kind = TopologyKind::kBClique;
-      else if (value == "chain") s.topology.kind = TopologyKind::kChain;
-      else if (value == "ring") s.topology.kind = TopologyKind::kRing;
-      else if (value == "internet") s.topology.kind = TopologyKind::kInternet;
-      else if (value == "asgraph") s.topology.kind = TopologyKind::kAsGraph;
-      else if (value == "relfile") s.topology.kind = TopologyKind::kRelFile;
-      else fail(line_no, "unknown topology: " + value);
-    } else if (key == "rel_file") {
-      s.topology.rel_file = value;
-    } else if (key == "size") {
-      saw_size = true;
-      s.topology.size = static_cast<std::size_t>(to_u64(line_no, key, value));
-    } else if (key == "topo_seed") {
-      s.topology.topo_seed = to_u64(line_no, key, value);
-    } else if (key == "event") {
-      if (value == "tdown") s.event = EventKind::kTdown;
-      else if (value == "tlong") s.event = EventKind::kTlong;
-      else if (value == "tup") s.event = EventKind::kTup;
-      else if (value == "flap") s.event = EventKind::kFlap;
-      else fail(line_no, "unknown event: " + value);
-    } else if (key == "flap_s") {
-      const double v = to_double(line_no, key, value);
-      if (v <= 0) fail(line_no, "flap_s must be positive");
-      s.flap_interval = sim::SimTime::seconds(v);
-    } else if (key == "protocol") {
-      if (value == "bgp") s.bgp = s.bgp.with(bgp::Enhancement::kStandard);
-      else if (value == "ssld") s.bgp = s.bgp.with(bgp::Enhancement::kSsld);
-      else if (value == "wrate") s.bgp = s.bgp.with(bgp::Enhancement::kWrate);
-      else if (value == "assertion")
-        s.bgp = s.bgp.with(bgp::Enhancement::kAssertion);
-      else if (value == "ghost")
-        s.bgp = s.bgp.with(bgp::Enhancement::kGhostFlushing);
-      else fail(line_no, "unknown protocol: " + value);
-    } else if (key == "mrai") {
-      const double v = to_double(line_no, key, value);
-      if (v < 0) fail(line_no, "mrai must be non-negative");
-      s.bgp.mrai = sim::SimTime::seconds(v);
-    } else if (key == "jitter_lo") {
-      s.bgp.jitter_lo = to_double(line_no, key, value);
-    } else if (key == "jitter_hi") {
-      s.bgp.jitter_hi = to_double(line_no, key, value);
-    } else if (key == "seed") {
-      s.seed = to_u64(line_no, key, value);
-    } else if (key == "policy") {
-      s.policy_routing = to_bool(line_no, key, value);
-    } else if (key == "destination") {
-      s.destination = static_cast<net::NodeId>(to_u64(line_no, key, value));
-    } else if (key == "tlong_link") {
-      s.tlong_link = static_cast<net::LinkId>(to_u64(line_no, key, value));
-    } else if (key == "processing_min_ms") {
-      s.processing.min = sim::SimTime::seconds(
-          to_double(line_no, key, value) / 1000.0);
-    } else if (key == "processing_max_ms") {
-      s.processing.max = sim::SimTime::seconds(
-          to_double(line_no, key, value) / 1000.0);
-    } else if (key == "traffic_pps") {
-      const double pps = to_double(line_no, key, value);
-      if (pps <= 0) fail(line_no, "traffic_pps must be positive");
-      s.traffic.interval = sim::SimTime::seconds(1.0 / pps);
-    } else if (key == "ttl") {
-      s.traffic.ttl = static_cast<int>(to_u64(line_no, key, value));
-    } else if (key == "caution") {
-      const double v = to_double(line_no, key, value);
-      if (v < 0) fail(line_no, "caution must be non-negative");
-      s.bgp.backup_caution = sim::SimTime::seconds(v);
-    } else if (key == "prefixes") {
-      // stoull wraps negatives silently, so reject the sign up front.
-      if (value[0] == '-') {
-        fail(line_no, "prefixes must be a positive count, got: " + value);
-      }
-      const auto n = to_u64(line_no, key, value);
-      if (n == 0) fail(line_no, "prefixes must be at least 1, got: 0");
-      s.prefixes = static_cast<std::size_t>(n);
-      prefixes_line = line_no;
-    } else if (key == "origins") {
-      // Comma-separated origin AS list for prefixes >= 1 (applied cycled).
-      std::string rest = value;
-      while (!rest.empty()) {
-        const auto comma = rest.find(',');
-        const std::string item = trimmed(rest.substr(0, comma));
-        rest = comma == std::string::npos ? "" : rest.substr(comma + 1);
-        if (item.empty()) fail(line_no, "empty entry in 'origins' list");
-        if (item[0] == '-') {
-          fail(line_no, "origin AS must be non-negative, got: " + item);
-        }
-        s.origins.push_back(
-            static_cast<net::NodeId>(to_u64(line_no, key, item)));
-      }
-      if (s.origins.empty()) fail(line_no, "empty 'origins' list");
-      origins_line = line_no;
-    } else {
-      fail(line_no, "unknown key: " + key);
+    try {
+      apply_scenario_key(s, key, value);
+    } catch (const std::runtime_error& e) {
+      fail(line_no, e.what());
     }
+    if (key == "topology") saw_topology = true;
+    if (key == "size") saw_size = true;
+    if (key == "prefixes") prefixes_line = line_no;
+    if (key == "origins") origins_line = line_no;
   }
-
   if (!saw_topology) throw std::runtime_error{"scenario file: missing 'topology'"};
   if (s.topology.kind == TopologyKind::kRelFile) {
     // The relationship file decides the node count, so 'size' is neither

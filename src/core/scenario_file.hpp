@@ -30,6 +30,14 @@ namespace bgpsim::core {
 [[nodiscard]] Scenario parse_scenario_string(const std::string& text);
 [[nodiscard]] Scenario load_scenario_file(const std::string& path);
 
+/// Apply one `key = value` setting of the file format to `s` (the keys
+/// listed above). Throws std::runtime_error naming the key and value on
+/// an unknown key or a bad value; parse_scenario adds the line number.
+/// Whole-file checks (required keys, cross-key consistency) are
+/// parse_scenario's alone.
+void apply_scenario_key(Scenario& s, const std::string& key,
+                        const std::string& value);
+
 /// Serialize a Scenario back into the file format (round-trips through
 /// parse_scenario for all file-expressible fields).
 [[nodiscard]] std::string to_scenario_text(const Scenario& scenario);

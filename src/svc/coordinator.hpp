@@ -1,9 +1,13 @@
-// Campaign coordinator: decompose a sweep into work units, dispatch them
-// to worker processes, survive worker failure, merge bit-identically.
+// Campaign coordinator: run one campaign over a fixed set of worker
+// processes and return the merged result.
 //
-// Execution model — a single-threaded poll() loop:
-//   - Decompose every (scenario, trials) pair into (scenario, trial-range)
-//     units via core::decompose_trials.
+// The coordinator is a front over svcd::Daemon, the one campaign engine:
+// it builds a daemon that exits once its campaign is done (no journal, no
+// admin socket, no TCP listener), submits the spec in its constructor,
+// and run() drives the daemon's event loop to completion. Everything the
+// engine does applies unchanged:
+//   - The spec is decomposed into (scenario, trial-range) units via
+//     core::decompose_trials.
 //   - Dispatch is pull-based work stealing: whenever a worker is idle, it
 //     is handed the oldest pending unit it is not excluded from, so fast
 //     workers naturally take more units and a straggler never stalls the
@@ -26,23 +30,13 @@
 #include <cstdint>
 #include <functional>
 #include <string>
-#include <vector>
 
-#include "core/scenario.hpp"
 #include "core/sweep.hpp"
-#include "svc/protocol.hpp"
 #include "svc/transport.hpp"
 #include "svc/units.hpp"
+#include "svcd/daemon.hpp"
 
 namespace bgpsim::svc {
-
-struct CampaignResult {
-  std::vector<core::TrialSet> sets;  // one per spec scenario, in order
-  std::uint64_t digest = 0;          // svc::campaign_digest(sets)
-  std::size_t units_dispatched = 0;  // includes requeues
-  std::size_t requeues = 0;
-  std::size_t workers_lost = 0;
-};
 
 class Coordinator;
 
@@ -56,11 +50,6 @@ struct CampaignOptions {
   /// a unit that deterministically kills workers from cycling forever.
   std::size_t max_attempts = 3;
 
-  /// Relay worker stderr through the coordinator's stderr, each line
-  /// prefixed with "[worker N] " (only for exec-spawned workers, which
-  /// get a stderr pipe).
-  bool relay_stderr = true;
-
   /// Test/progress hook: called after every completed unit with the
   /// coordinator and the number of units completed so far. Fault-tolerance
   /// tests use it to kill workers at a deterministic point mid-campaign.
@@ -69,35 +58,46 @@ struct CampaignOptions {
 
 class Coordinator {
  public:
+  /// Throws std::invalid_argument for a spec that cannot run (no
+  /// scenarios, or a scenario carrying in-process hooks).
   Coordinator(CampaignSpec spec, CampaignOptions options = {});
-  ~Coordinator();
   Coordinator(const Coordinator&) = delete;
   Coordinator& operator=(const Coordinator&) = delete;
 
   /// Spawn a worker by fork(): the child runs svc::worker_loop in-process
   /// over one end of a socketpair and _exits. No binary path needed —
   /// this is the library/test path.
-  void spawn_fork_worker();
+  void spawn_fork_worker() { daemon_.spawn_fork_worker(); }
 
   /// Spawn a worker by fork()+exec of `worker_bin` (the examples/
-  /// bgpsim_worker binary), talking over a socketpair on fd 0, stderr
-  /// captured through a relay pipe.
-  void spawn_exec_worker(const std::string& worker_bin);
+  /// bgpsim_worker binary), talking over a socketpair on fd 0, its stderr
+  /// relayed with a "[worker N] " prefix.
+  void spawn_exec_worker(const std::string& worker_bin) {
+    daemon_.spawn_exec_worker(worker_bin);
+  }
 
   /// Spawn a worker by fork()+exec of `worker_bin` told to connect back
   /// over localhost TCP to `port` (exercises the TCP transport end to
   /// end); the connection must then be handed in via accept + add_worker.
+  /// Spawns take consecutive --id values starting at 0.
   pid_t spawn_exec_worker_tcp(const std::string& worker_bin,
-                              std::uint16_t port);
+                              std::uint16_t port) {
+    return daemon_.spawn_exec_worker_tcp(worker_bin, port);
+  }
 
   /// Attach an already-connected worker (e.g. accepted from a
-  /// TcpListener). pid < 0 marks a worker this process cannot signal;
-  /// stderr_fd < 0 means no stderr relay.
-  void add_worker(Connection conn, pid_t pid, int stderr_fd);
+  /// TcpListener). pid < 0 marks a worker this process cannot signal.
+  void add_worker(Connection conn, pid_t pid) {
+    daemon_.add_worker(std::move(conn), pid);
+  }
 
-  [[nodiscard]] std::size_t worker_count() const;
+  /// Number of live workers.
+  [[nodiscard]] std::size_t worker_count() const {
+    return daemon_.live_workers();
+  }
 
-  /// pid of the i-th *live* worker, or -1 (TCP-attached / already gone).
+  /// pid of the i-th live worker this process can signal, in attach
+  /// order, or -1 (TCP-attached / already gone).
   [[nodiscard]] pid_t worker_pid(std::size_t index) const;
 
   /// Run the campaign to completion. Throws std::runtime_error if every
@@ -108,22 +108,8 @@ class Coordinator {
   [[nodiscard]] CampaignResult run();
 
  private:
-  struct Worker;
-
-  void dispatch_idle_workers();
-  void handle_frame(std::size_t widx, const Frame& frame);
-  void fail_worker(std::size_t widx, const std::string& why);
-  void relay_stderr_bytes(std::size_t widx);
-  void shutdown_workers();
-  [[nodiscard]] std::size_t live_workers() const;
-
-  CampaignOptions options_;
-  // Unit dispatch/merge state machine, shared with the svcd daemon. The
-  // coordinator's worker slots are stable, so the slot index doubles as
-  // the ledger's worker key.
-  UnitLedger ledger_;
-  std::vector<Worker> workers_;
-  CampaignResult stats_;
+  svcd::Daemon daemon_;
+  std::uint64_t campaign_id_;
 };
 
 /// Convenience entry point: spawn `workers` fork-workers (default:

@@ -48,7 +48,7 @@ class Connection {
   /// frame or mid-frame EOF, std::runtime_error on I/O errors.
   [[nodiscard]] std::optional<Frame> recv_frame();
 
-  /// Non-blocking drain (coordinator side, after poll() reported
+  /// Non-blocking drain (coordinator side, after the event loop reported
   /// readability). Appends available bytes to the internal buffer.
   enum class Pump { kOk, kEof, kClosed };
   Pump pump();

@@ -1,5 +1,6 @@
 #include "svcd/daemon.hpp"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -9,6 +10,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 #include <stdexcept>
@@ -38,6 +40,21 @@ std::string hex64(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
+}
+
+// Child side of a spawn: exec the bgpsim_worker binary, or report why not
+// on stderr (which the exec spawn relays) and exit 127.
+[[noreturn]] void exec_worker(const std::string& worker_bin,
+                              const char* transport_flag,
+                              const std::string& transport_arg,
+                              std::uint64_t id) {
+  const std::string id_str = std::to_string(id);
+  ::execl(worker_bin.c_str(), "bgpsim_worker", transport_flag,
+          transport_arg.c_str(), "--id", id_str.c_str(),
+          static_cast<char*>(nullptr));
+  std::fprintf(stderr, "svc: exec %s failed: %s\n", worker_bin.c_str(),
+               std::strerror(errno));
+  ::_exit(127);
 }
 
 constexpr std::uint64_t kLocalUnitMask = 0xFFFF'FFFFULL;
@@ -82,7 +99,7 @@ Daemon::Daemon(DaemonOptions options) : options_{std::move(options)} {
       svc::Connection conn = tcp_listener_->accept_one(0);
       if (!conn.valid()) return;
       log_svcd("TCP worker joined");
-      attach_worker(std::move(conn), -1, -1);
+      add_worker(std::move(conn), -1);
       dispatch();
     });
   }
@@ -239,6 +256,7 @@ void Daemon::seal_campaign(Campaign& c) {
   result.digest = svc::campaign_digest(result.sets);
   result.units_dispatched = c.ledger.dispatched();
   result.requeues = c.ledger.requeues();
+  result.workers_lost = c.workers_lost;
   if (journal_) {
     journal_->campaign_sealed(c.id, result.digest, c.ledger.done());
     journal_->sync();
@@ -260,19 +278,65 @@ void Daemon::finish_failed(Campaign& c) {
   maybe_exit_idle();
 }
 
+pid_t Daemon::fork_child() {
+  const pid_t pid = ::fork();
+  if (pid < 0) throw std::runtime_error{"svcd: fork failed"};
+  if (pid == 0) close_all_in_forked_child();
+  return pid;
+}
+
 void Daemon::spawn_fork_worker() {
   svc::SocketPair pair = svc::make_socketpair();
   const std::uint64_t key = next_worker_key_++;
-  const pid_t pid = ::fork();
-  if (pid < 0) throw std::runtime_error{"svcd: fork failed"};
+  const pid_t pid = fork_child();
   if (pid == 0) {
     pair.coordinator.close();
-    close_all_in_forked_child();
     ::_exit(svc::worker_loop(std::move(pair.worker), key));
   }
   pair.worker.close();
-  next_worker_key_ = key;  // attach_worker re-issues the same key
-  attach_worker(std::move(pair.coordinator), pid, -1);
+  attach_worker(key, std::move(pair.coordinator), pid);
+}
+
+void Daemon::spawn_exec_worker(const std::string& worker_bin) {
+  svc::SocketPair pair = svc::make_socketpair();
+  int errpipe[2];
+  if (::pipe(errpipe) < 0) throw std::runtime_error{"svcd: pipe failed"};
+  const std::uint64_t key = next_worker_key_++;
+  const pid_t pid = fork_child();
+  if (pid == 0) {
+    ::dup2(pair.worker.fd(), 0);
+    ::dup2(errpipe[1], 2);
+    pair.worker.close();
+    pair.coordinator.close();
+    ::close(errpipe[0]);
+    ::close(errpipe[1]);
+    exec_worker(worker_bin, "--fd", "0", key);
+  }
+  pair.worker.close();
+  ::close(errpipe[1]);
+  Worker& w = attach_worker(key, std::move(pair.coordinator), pid);
+  // The relay must never block on a live child's open pipe.
+  w.stderr_fd = errpipe[0];
+  (void)::fcntl(w.stderr_fd, F_SETFL,
+                ::fcntl(w.stderr_fd, F_GETFL, 0) | O_NONBLOCK);
+  w.stderr_token =
+      loop_.watch(w.stderr_fd, EPOLLIN, [this, key](std::uint32_t) {
+        auto it = workers_.find(key);
+        if (it != workers_.end()) relay_stderr(it->second, false);
+      });
+}
+
+pid_t Daemon::spawn_exec_worker_tcp(const std::string& worker_bin,
+                                    std::uint16_t port) {
+  // The id is spent here; the connection gets a key of its own when the
+  // caller attaches it.
+  const std::uint64_t id = next_worker_key_++;
+  const pid_t pid = fork_child();
+  if (pid == 0) {
+    exec_worker(worker_bin, "--connect",
+                "127.0.0.1:" + std::to_string(port), id);
+  }
+  return pid;
 }
 
 void Daemon::close_all_in_forked_child() {
@@ -291,18 +355,53 @@ void Daemon::close_all_in_forked_child() {
   for (auto& [fd, client] : admin_clients_) ::close(fd);
 }
 
-void Daemon::attach_worker(svc::Connection conn, pid_t pid, int stderr_fd) {
+void Daemon::add_worker(svc::Connection conn, pid_t pid) {
+  attach_worker(next_worker_key_++, std::move(conn), pid);
+}
+
+Daemon::Worker& Daemon::attach_worker(std::uint64_t key, svc::Connection conn,
+                                      pid_t pid) {
   conn.set_nonblocking();
-  const std::uint64_t key = next_worker_key_++;
-  Worker w;
+  Worker& w = workers_[key];
   w.key = key;
   w.conn = std::move(conn);
   w.pid = pid;
-  w.stderr_fd = stderr_fd;
-  const int fd = w.conn.fd();
-  auto [it, inserted] = workers_.emplace(key, std::move(w));
-  it->second.conn_token = loop_.watch(
-      fd, EPOLLIN, [this, key](std::uint32_t) { on_worker_readable(key); });
+  w.conn_token = loop_.watch(w.conn.fd(), EPOLLIN, [this, key](std::uint32_t) {
+    on_worker_readable(key);
+  });
+  return w;
+}
+
+void Daemon::relay_stderr(Worker& w, bool closing) {
+  if (w.stderr_fd < 0) return;
+  bool eof = false;
+  char buf[4096];
+  for (;;) {
+    const ssize_t r = ::read(w.stderr_fd, buf, sizeof buf);
+    if (r < 0 && errno == EINTR) continue;
+    if (r <= 0) {
+      eof = r == 0;
+      break;  // EAGAIN: the rest arrives with the next readable event
+    }
+    w.stderr_partial.append(buf, static_cast<std::size_t>(r));
+  }
+  std::size_t nl;
+  while ((nl = w.stderr_partial.find('\n')) != std::string::npos) {
+    std::fprintf(stderr, "[worker %llu] %.*s\n",
+                 static_cast<unsigned long long>(w.key), static_cast<int>(nl),
+                 w.stderr_partial.data());
+    w.stderr_partial.erase(0, nl + 1);
+  }
+  // At EOF the level-triggered watch would fire forever; close the pipe.
+  if (!eof && !closing) return;
+  if (!w.stderr_partial.empty()) {
+    std::fprintf(stderr, "[worker %llu] %s\n",
+                 static_cast<unsigned long long>(w.key),
+                 w.stderr_partial.c_str());
+  }
+  loop_.unwatch(w.stderr_token);
+  ::close(w.stderr_fd);
+  w.stderr_fd = -1;
 }
 
 std::uint16_t Daemon::tcp_port() const {
@@ -470,7 +569,9 @@ void Daemon::fail_worker(std::uint64_t key, const std::string& why) {
   if (w.lease_timer != 0) loop_.cancel_timer(w.lease_timer);
   loop_.unwatch(w.conn_token);
   w.conn.close();
-  if (w.stderr_fd >= 0) ::close(w.stderr_fd);
+  // A worker that died writing its last words (a failed exec) has them
+  // in the pipe by now.
+  relay_stderr(w, true);
   if (w.pid > 0) {
     ::kill(w.pid, SIGKILL);  // no-op if already dead
     reap(w.pid);
@@ -479,6 +580,7 @@ void Daemon::fail_worker(std::uint64_t key, const std::string& why) {
   const std::uint64_t campaign_id = w.inflight_campaign;
   const std::uint64_t local = w.inflight_unit;
   workers_.erase(it);
+  if (Campaign* active = active_campaign()) ++active->workers_lost;
   if (had_inflight) {
     Campaign* c = find_campaign(campaign_id);
     if (c != nullptr && c->state == CampaignState::kRunning) {
@@ -491,11 +593,13 @@ void Daemon::fail_worker(std::uint64_t key, const std::string& why) {
 
 void Daemon::check_progress_possible() {
   if (!workers_.empty() || tcp_listener_) return;
-  if (active_campaign() == nullptr) return;
+  const Campaign* c = active_campaign();
+  if (c == nullptr) return;
   // No worker left and no way for one to join: the queue can never drain.
-  fatal_error_ =
-      "svcd: campaign failed — every worker died with work outstanding and "
-      "no TCP listener for replacements";
+  fatal_error_ = "svcd: campaign " + std::to_string(c->id) +
+                 " failed — every worker died with " +
+                 std::to_string(c->ledger.unit_count() - c->ledger.done()) +
+                 " unit(s) outstanding and no TCP listener for replacements";
   loop_.stop();
 }
 
@@ -689,13 +793,17 @@ void Daemon::run() {
 }
 
 void Daemon::shutdown_workers() {
+  // Tell every worker first so they exit in parallel, then reap each and
+  // relay what it wrote on the way out.
   for (auto& [key, w] : workers_) {
     (void)w.conn.send_frame(svc::encode_shutdown());
     if (w.lease_timer != 0) loop_.cancel_timer(w.lease_timer);
     loop_.unwatch(w.conn_token);
     w.conn.close();
-    if (w.stderr_fd >= 0) ::close(w.stderr_fd);
+  }
+  for (auto& [key, w] : workers_) {
     if (w.pid > 0) reap(w.pid);
+    relay_stderr(w, true);
   }
   workers_.clear();
 }

@@ -1,31 +1,33 @@
-// svcd::Daemon — the always-on campaign service.
+// svcd::Daemon — the campaign engine.
 //
-// Where the PR 4 Coordinator runs exactly one campaign over a fixed
-// worker set and returns, the daemon is a persistent process built on
-// svcd::EventLoop that:
+// Every campaign runs here, on svcd::EventLoop. svc::Coordinator and
+// svc::run_campaign are a daemon with exit_when_idle set that runs one
+// submitted campaign and returns; bgpsimd keeps one running. The daemon:
 //
-//   - queues multiple campaigns (FIFO) submitted programmatically or over
-//     a line-oriented unix admin socket (STATUS / SUBMIT / CANCEL);
-//   - journals every state transition through svcd::Journal, so a daemon
-//     killed mid-campaign resumes from the journal: completed units are
-//     restored byte-for-byte, only units in flight at the crash re-run,
-//     and the final digest is bit-identical to an uninterrupted run;
-//   - streams one `bgpsim-bench-1` JSON line per completed unit (and one
-//     per sealed campaign) to a results sink as work finishes, instead of
-//     holding everything until the end;
-//   - tolerates worker churn: TCP workers join mid-campaign through a
-//     persistent listener, leave or die at any time, and each connection
-//     is a fresh incarnation key in the UnitLedger's lease table, so the
-//     requeue-on-different-worker exclusion logic survives arbitrary
-//     join/leave sequences. Per-unit leases are EventLoop timers: a
-//     worker that holds a unit past the deadline is failed and its unit
-//     requeued elsewhere.
+//   - holds the one worker table: fork workers, exec'd bgpsim_worker
+//     binaries (over a socketpair, their stderr relayed line by line with
+//     a "[worker N] " prefix), and connections attached by the caller or
+//     accepted on an optional TCP listener, joining or leaving at any
+//     time. Each connection is a fresh incarnation key in the
+//     UnitLedger's lease table, so the requeue-on-different-worker
+//     exclusion logic survives arbitrary join/leave sequences. Per-unit
+//     leases are EventLoop timers: a worker that holds a unit past the
+//     deadline is failed and its unit requeued elsewhere;
+//   - queues campaigns (FIFO) submitted programmatically or over a
+//     line-oriented unix admin socket (STATUS / SUBMIT / CANCEL);
+//   - optionally journals every state transition through svcd::Journal,
+//     so a daemon killed mid-campaign resumes from the journal: completed
+//     units are restored byte-for-byte, only units in flight at the crash
+//     re-run, and the final digest is bit-identical to an uninterrupted
+//     run;
+//   - optionally streams one `bgpsim-bench-1` JSON line per completed
+//     unit (and one per sealed campaign) to a results sink.
 //
-// The determinism contract is inherited from svc: trial i of scenario s
-// is seeded from (s.seed + i) no matter which worker runs it, so any
-// interleaving of churn, crashes, and resumes merges to the same bytes
-// core::run_trials produces serially. Tests assert digest equality; the
-// svcd_smoke harness does it end to end over the real binaries.
+// The determinism contract: trial i of scenario s is seeded from
+// (s.seed + i) no matter which worker runs it, so any interleaving of
+// churn, crashes, and resumes merges to the same bytes core::run_trials
+// produces serially. Tests assert digest equality; the svc_smoke and
+// svcd_smoke harnesses do it end to end over the real binaries.
 #pragma once
 
 #include <sys/types.h>
@@ -39,7 +41,6 @@
 #include <string>
 #include <vector>
 
-#include "svc/coordinator.hpp"
 #include "svc/transport.hpp"
 #include "svc/units.hpp"
 #include "svcd/event_loop.hpp"
@@ -81,9 +82,6 @@ struct DaemonOptions {
   /// One-shot mode: stop run() once at least one campaign was submitted
   /// and every submitted campaign reached a terminal state.
   bool exit_when_idle = false;
-
-  /// Relay exec-workers' stderr with a "[worker N]" prefix.
-  bool relay_stderr = true;
 
   /// Install SIGINT/SIGTERM handling (signalfd): a signal stops the loop
   /// gracefully. Off by default so embedding in tests leaves signal
@@ -128,12 +126,29 @@ class Daemon {
   /// otherwise.
   [[nodiscard]] svc::CampaignResult take_result(std::uint64_t campaign_id);
 
-  /// Fork an in-process worker over a socketpair (library/test path).
+  /// Fork a worker that runs svc::worker_loop in-process over one end of
+  /// a socketpair and _exits (library/test path, no binary needed).
   void spawn_fork_worker();
+
+  /// Fork+exec `worker_bin` (the bgpsim_worker binary) on a socketpair at
+  /// fd 0, its stderr relayed with a "[worker N] " prefix.
+  void spawn_exec_worker(const std::string& worker_bin);
+
+  /// Fork+exec `worker_bin` told to connect back over localhost TCP to
+  /// `port`; the caller accepts the connection and hands it to
+  /// add_worker(). Spawns take consecutive --id values, so the Hello's
+  /// worker_id maps the connection back to the returned pid.
+  pid_t spawn_exec_worker_tcp(const std::string& worker_bin,
+                              std::uint16_t port);
+
+  /// Attach an already-connected worker. pid < 0 marks a worker this
+  /// process cannot signal.
+  void add_worker(svc::Connection conn, pid_t pid);
 
   [[nodiscard]] std::uint16_t tcp_port() const;
   [[nodiscard]] std::size_t live_workers() const;
-  /// pids of live fork-spawned workers (tests kill these to drill churn).
+  /// pids of live workers this process can signal, in attach order
+  /// (tests kill these to drill churn).
   [[nodiscard]] std::vector<pid_t> worker_pids() const;
 
   /// Dispatch and handle events until stop() — or, in exit_when_idle
@@ -150,6 +165,7 @@ class Daemon {
     svc::UnitLedger ledger;
     CampaignState state = CampaignState::kQueued;
     std::optional<svc::CampaignResult> result;
+    std::size_t workers_lost = 0;
     Campaign(std::uint64_t id_, svc::UnitLedger ledger_)
         : id{id_}, ledger{std::move(ledger_)} {}
   };
@@ -179,7 +195,9 @@ class Daemon {
   void restore_from_journal(const std::string& path);
   void seal_campaign(Campaign& c);
   void finish_failed(Campaign& c);
-  void attach_worker(svc::Connection conn, pid_t pid, int stderr_fd);
+  pid_t fork_child();
+  Worker& attach_worker(std::uint64_t key, svc::Connection conn, pid_t pid);
+  void relay_stderr(Worker& w, bool closing);
   void dispatch();
   void on_worker_readable(std::uint64_t key);
   void handle_worker_frame(Worker& w, const svc::Frame& frame);
@@ -202,7 +220,7 @@ class Daemon {
   std::vector<std::unique_ptr<Campaign>> campaigns_;
   std::uint64_t next_campaign_id_ = 1;
   std::map<std::uint64_t, Worker> workers_;
-  std::uint64_t next_worker_key_ = 1;
+  std::uint64_t next_worker_key_ = 0;  // also the --id of spawned workers
   std::optional<svc::TcpListener> tcp_listener_;
   int admin_fd_ = -1;  // listening unix socket
   std::map<int, AdminClient> admin_clients_;

@@ -121,7 +121,7 @@ TEST(SvcCampaignTest, TcpTransportProducesTheSameDigest) {
     ASSERT_TRUE(hello_frame.has_value());
     const Hello hello = decode_hello(*hello_frame);
     ASSERT_LT(hello.worker_id, pids.size());
-    coordinator.add_worker(std::move(conn), pids[hello.worker_id], -1);
+    coordinator.add_worker(std::move(conn), pids[hello.worker_id]);
   }
   const CampaignResult result = coordinator.run();
   EXPECT_EQ(result.digest, expected);

@@ -10,6 +10,7 @@
 
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -123,7 +124,7 @@ TEST(SvcFaultTest, StalledWorkerBlowsItsDeadlineAndIsReplaced) {
   CampaignOptions options;
   options.deadline_s = 8;
   Coordinator coordinator{spec, options};
-  coordinator.add_worker(std::move(pair.coordinator), impostor, -1);
+  coordinator.add_worker(std::move(pair.coordinator), impostor);
   coordinator.spawn_fork_worker();
   const CampaignResult result = coordinator.run();
 
@@ -155,12 +156,27 @@ TEST(SvcFaultTest, ProtocolViolationDropsTheWorkerNotTheCampaign) {
   pair.worker.close();
 
   Coordinator coordinator{spec, {}};
-  coordinator.add_worker(std::move(pair.coordinator), liar, -1);
+  coordinator.add_worker(std::move(pair.coordinator), liar);
   coordinator.spawn_fork_worker();
   const CampaignResult result = coordinator.run();
 
   EXPECT_GE(result.workers_lost, 1u);
   EXPECT_EQ(result.digest, expected);
+}
+
+TEST(SvcFaultTest, ExecWorkerStderrIsRelayedWhenItDies) {
+  // The child of an exec spawn reports a failed exec on its stderr and
+  // exits 127. The relay must drain the pipe when it fails the worker,
+  // so the line reaches our stderr with the worker's prefix.
+  Coordinator coordinator{small_sweep()};
+  coordinator.spawn_exec_worker("/nonexistent/bgpsim_worker");
+  testing::internal::CaptureStderr();
+  EXPECT_THROW((void)coordinator.run(), std::runtime_error);
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(
+      err.find("[worker 0] svc: exec /nonexistent/bgpsim_worker failed"),
+      std::string::npos)
+      << err;
 }
 
 TEST(SvcFaultTest, CrossVersionCoordinatorIsRejectedByWorkerPromptly) {
