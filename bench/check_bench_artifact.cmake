@@ -6,6 +6,8 @@
 #         [-DROW_NEEDLE=<first cell of the first expected row>] \
 #         [-DCELL_NEEDLES="<space-separated first-cell prefixes, each of \
 #          which some row must start with>"] \
+#         [-DHEADER_NEEDLES="<space-separated column names, each of which \
+#          some table must carry>"] \
 #         -P check_bench_artifact.cmake
 # BENCH_ARGS/BENCH_ENV are space-separated, not ;-lists: semicolons do not
 # survive the add_test -> -D -> re-expansion round trip intact.
@@ -71,6 +73,15 @@ if(CELL_NEEDLES)
   separate_arguments(cell_needles UNIX_COMMAND "${CELL_NEEDLES}")
   foreach(cell IN LISTS cell_needles)
     require_needle("[\"${cell}")
+  endforeach()
+endif()
+
+# Each HEADER_NEEDLES element must be a column some table carries (names
+# must not contain spaces).
+if(HEADER_NEEDLES)
+  separate_arguments(header_needles UNIX_COMMAND "${HEADER_NEEDLES}")
+  foreach(column IN LISTS header_needles)
+    require_needle("\"${column}\"")
   endforeach()
 endif()
 

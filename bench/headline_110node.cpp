@@ -74,13 +74,21 @@ int main() {
   const auto [plain_s, plain] = timed(false);
   const auto [interned_s, interned] = timed(true);
 
-  core::Table hot_table{
-      {"config", "wall clock (s)", "convergence (s)", "events fired"}};
+  // hops/segment: packet hops the data plane accounted per trajectory it
+  // predicted — the hop events fast-forwarding did not have to step.
+  core::Table hot_table{{"config", "wall clock (s)", "convergence (s)",
+                         "events fired", "hops/segment"}};
   const auto hot_row = [&](const char* config, double wall_s,
                            const core::TrialSet& r) {
-    hot_table.add_row({config, core::fmt(wall_s, 2),
-                       core::fmt(r.convergence_time_s.mean, 1),
-                       std::to_string(r.runs.front().events_fired)});
+    const core::ExperimentOutcome& run = r.runs.front();
+    hot_table.add_row(
+        {config, core::fmt(wall_s, 2), core::fmt(r.convergence_time_s.mean, 1),
+         std::to_string(run.events_fired),
+         run.plane_segments == 0
+             ? std::string{"-"}
+             : core::fmt(static_cast<double>(run.plane_hops) /
+                             static_cast<double>(run.plane_segments),
+                         1)});
   };
   hot_row("shared paths", plain_s, plain);
   hot_row("interned paths", interned_s, interned);

@@ -176,13 +176,12 @@ void BM_PacketForwardingThroughput(benchmark::State& state) {
 BENCHMARK(BM_PacketForwardingThroughput);
 
 void BM_DataPlaneHop(benchmark::State& state) {
-  // A/B over the hop-store backend: range(0) = 0 binary heap, 1 per-tick
-  // FIFO rings. A looping 2-node FIB keeps `n` packets bouncing until TTL
-  // exhaustion, so the measurement is almost pure hop machinery: hop-store
-  // push/pop plus one FIB decision per (node, prefix) cohort under rings,
-  // per packet under the heap.
-  const auto backend = state.range(0) != 0 ? fwd::PlaneBackend::kRings
-                                           : fwd::PlaneBackend::kHeap;
+  // A/B over the data-plane backend: range(0) = 0 per-tick FIFO rings,
+  // 1 fast-forward. A looping 2-node FIB keeps `n` packets bouncing until
+  // TTL exhaustion: the rings pay a push/pop per hop, fast-forward one
+  // trajectory prediction per packet. Items are hops either way.
+  const auto backend = state.range(0) != 0 ? fwd::PlaneBackend::kFastForward
+                                           : fwd::PlaneBackend::kRings;
   const auto n = static_cast<int>(state.range(1));
   auto topo = topo::make_chain(4);
   std::uint64_t hops = 0;
@@ -206,11 +205,11 @@ void BM_DataPlaneHop(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(hops));
 }
 BENCHMARK(BM_DataPlaneHop)
-    ->Name("BM_DataPlaneHop/heap")
+    ->Name("BM_DataPlaneHop/ring")
     ->Args({0, 64})
     ->Args({0, 1024});
 BENCHMARK(BM_DataPlaneHop)
-    ->Name("BM_DataPlaneHop/ring")
+    ->Name("BM_DataPlaneHop/fastforward")
     ->Args({1, 64})
     ->Args({1, 1024});
 

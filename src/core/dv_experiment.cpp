@@ -338,6 +338,8 @@ ExperimentOutcome run_dv_experiment(const DvScenario& scenario) {
   out.failed_link = failed_link;
   out.initial_convergence_s = initial_convergence_s;
   out.events_fired = simulator.events_fired();
+  out.plane_hops = plane.counters().hops;
+  out.plane_segments = plane.counters().segments;
 
   metrics::RunMetrics& m = out.metrics;
   m.event_at = t_event;

@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/experiment.hpp"
 #include "fwd/engine.hpp"
 #include "fwd/traffic.hpp"
 #include "metrics/collector.hpp"
@@ -90,14 +91,14 @@ void restore_run_state(snap::Reader& r, sim::Simulator& simulator,
 }
 
 /// Refuse a warm start whose snapshot identity does not match the scenario
-/// about to run. Every rejection is a precise std::invalid_argument.
+/// about to run. Every rejection is a precise WarmStartRejected.
 inline void require_meta_match(const snap::SnapshotMeta& meta,
                                snap::DriverKind driver,
                                std::uint64_t topology_hash,
                                std::uint64_t config_hash, std::uint64_t seed,
                                net::NodeId destination, bool originated) {
   const auto fail = [](const std::string& what) {
-    throw std::invalid_argument{"warm start rejected: " + what};
+    throw WarmStartRejected{"warm start rejected: " + what};
   };
   if (meta.driver != driver) {
     fail(std::string{"snapshot was written by the '"} +

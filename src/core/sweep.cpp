@@ -64,19 +64,15 @@ bool cacheable(const Scenario& s) {
          s.snap_roundtrip == SnapRoundtrip::kOff;
 }
 
-/// Cache key for one trial's converged prelude: driver tag + everything that
-/// shapes Phase 1 (scenario_prelude_hash) + the seed. Scenarios that differ
-/// only in post-event knobs (event kind, flap interval, traffic) share the
-/// key and fork from one cold run.
-std::uint64_t prelude_key(const Scenario& s) {
+}  // namespace
+
+std::uint64_t prelude_cache_key(const Scenario& trial) {
   snap::Hasher h;
   h.mix(static_cast<std::uint64_t>(snap::DriverKind::kBgp));
-  h.mix(scenario_prelude_hash(s));
-  h.mix(s.seed);
+  h.mix(scenario_prelude_hash(trial));
+  h.mix(trial.seed);
   return h.value();
 }
-
-}  // namespace
 
 // One trial, warm-started from the process-wide PreludeCache when possible.
 // Shared by the serial and parallel runners (and the campaign service's
@@ -90,10 +86,20 @@ ExperimentOutcome run_single_trial(const Scenario& base, std::size_t i,
     return run_experiment(s);
   }
 
-  const std::uint64_t key = prelude_key(s);
+  const std::uint64_t key = prelude_cache_key(s);
   if (const std::shared_ptr<const snap::Snapshot> hit = cache.find(key)) {
     s.warm_start = hit.get();
-    return run_experiment(s);
+    try {
+      return run_experiment(s);
+    } catch (const WarmStartRejected& e) {
+      // A cache may miss but must never fail a trial: drop the entry and
+      // let a cold run replace it.
+      sim::LogLine{sim::LogLevel::kInfo, "core", sim::SimTime::zero()}
+          << "prelude cache: evicting entry " << key << " (" << e.what()
+          << "); running the trial cold";
+      cache.evict(key, hit.get());
+      s.warm_start = nullptr;
+    }
   }
   snap::Snapshot converged;
   s.save_converged = &converged;

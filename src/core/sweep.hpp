@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -60,6 +61,13 @@ struct TrialSet {
 [[nodiscard]] ExperimentOutcome run_single_trial(const Scenario& base,
                                                  std::size_t index,
                                                  bool use_snap_cache = true);
+
+/// The snap::PreludeCache key of one trial's converged prelude (the
+/// scenario run_single_trial derives for that index): driver tag +
+/// everything that shapes Phase 1 (scenario_prelude_hash) + the seed.
+/// Scenarios that differ only in post-event knobs (event kind, flap
+/// interval, traffic) share the key and fork from one cold run.
+[[nodiscard]] std::uint64_t prelude_cache_key(const Scenario& trial);
 
 /// A contiguous slice of a TrialSet's trial index space.
 struct TrialRange {

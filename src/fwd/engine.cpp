@@ -2,9 +2,38 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
 #include <utility>
 
 namespace bgpsim::fwd {
+namespace {
+
+/// Key spacing of a phase's front blocks: every injection that joins a
+/// phase ahead of its pending cohort gets a key below all earlier ones.
+constexpr std::int64_t kFrontBlock = std::int64_t{1} << 20;
+
+/// Fast-forward indexes phases by offset in a table of D entries, so it
+/// takes only link delays up to this (16.7 s); longer ones step hop by hop.
+constexpr sim::SimTime kMaxFastForwardDelay =
+    sim::SimTime::micros(std::int64_t{1} << 24);
+
+constexpr std::uint32_t kNoPhase = 0xffffffffU;
+
+/// Index of the first element of sorted `v` above `r` (std::upper_bound
+/// without branches: the offsets searched every bridge firing are a
+/// hundred-odd phases whose comparisons a predictor cannot learn).
+std::size_t first_above(const std::vector<std::int64_t>& v, std::int64_t r) {
+  if (v.empty()) return 0;
+  const std::int64_t* base = v.data();
+  for (std::size_t n = v.size(); n > 1;) {
+    const std::size_t half = n / 2;
+    base = base[half - 1] <= r ? base + half : base;
+    n -= half;
+  }
+  return static_cast<std::size_t>(base - v.data()) + (*base <= r ? 1 : 0);
+}
+
+}  // namespace
 
 DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
                      std::vector<Fib>& fibs, DataPlaneOptions options)
@@ -15,12 +44,15 @@ DataPlane::DataPlane(sim::Simulator& simulator, const net::Topology& topology,
       backend_{options.backend} {
   assert(fibs_.size() == topo_.node_count());
   assert(!destinations_.empty());
-  sim_.set_external_handler([this] {
-    bridge_armed_ = false;
-    drain_due();
-    rearm();
-    flush_fates();
-  });
+  sim_.set_external_handler([this] { on_bridge(); });
+  for (std::size_t n = 0; n < fibs_.size(); ++n) {
+    fibs_[n].set_listener(this, static_cast<net::NodeId>(n));
+  }
+  if (backend_ == PlaneBackend::kFastForward) enter_fast_forward();
+}
+
+DataPlane::~DataPlane() {
+  for (Fib& fib : fibs_) fib.set_listener(nullptr, net::kInvalidNode);
 }
 
 std::uint64_t DataPlane::inject(const Injection& injection) {
@@ -33,11 +65,28 @@ std::uint64_t DataPlane::inject(const Injection& injection) {
   p.ttl = injection.ttl;
   p.sent_at = sim_.now();
   ++counters_.injected;
+  // A bridge the plane armed but the simulator no longer holds was dropped
+  // by clear_pending: the ring store reproduces what follows (nothing in
+  // flight moves again).
+  if (ff_ && bridge_armed_ && !sim_.external_armed()) fall_back_to_rings();
+  if (!ff_ && backend_ == PlaneBackend::kFastForward && in_flight_ == 0 &&
+      !bridge_armed_) {
+    enter_fast_forward();
+  }
   ++in_flight_;
-  // The packet "arrives" at its own source with no delay.
-  arrive(injection.source, p);
+  if (ff_ && sync()) {
+    ff_inject(p);
+  } else {
+    // The packet "arrives" at its own source with no delay.
+    arrive(injection.source, p);
+  }
   flush_fates();
   return p.id;
+}
+
+const DataPlane::Counters& DataPlane::counters() const {
+  if (ff_) counters_.hops = ff_hops();
+  return counters_;
 }
 
 DataPlane::Decision DataPlane::decide(net::NodeId node,
@@ -80,33 +129,21 @@ const DataPlane::Decision& DataPlane::cached_decide(net::NodeId node,
   return e.d;
 }
 
-void DataPlane::arrive(net::NodeId node, Packet packet) {
-  const Decision& d = cached_decide(node, packet.prefix);
-
-  switch (d.kind) {
+PacketFate DataPlane::fate_of(Decision::Kind kind) {
+  switch (kind) {
     case Decision::Kind::kDeliver:
-      finish(packet, PacketFate::kDelivered, node);
-      return;
+      return PacketFate::kDelivered;
     case Decision::Kind::kNoRoute:
-      finish(packet, PacketFate::kNoRoute, node);
-      return;
+      return PacketFate::kNoRoute;
     case Decision::Kind::kLinkDown:
-      finish(packet, PacketFate::kLinkDown, node);
-      return;
     case Decision::Kind::kForward:
       break;
   }
-  // One TTL decrement per AS hop (the study's loop indicator).
-  if (--packet.ttl <= 0) {
-    finish(packet, PacketFate::kTtlExhausted, node);
-    return;
-  }
-  ++packet.hops_taken;
-  ++counters_.hops;
-  push_hop(sim_.now() + d.delay, d.next_hop, std::move(packet));
+  return PacketFate::kLinkDown;
 }
 
-void DataPlane::finish(const Packet& p, PacketFate fate, net::NodeId where) {
+void DataPlane::record_fate(const Packet& p, PacketFate fate,
+                            net::NodeId where, sim::SimTime when) {
   assert(in_flight_ > 0);
   --in_flight_;
   switch (fate) {
@@ -123,9 +160,7 @@ void DataPlane::finish(const Packet& p, PacketFate fate, net::NodeId where) {
       ++counters_.link_down;
       break;
   }
-  if (sink_ != nullptr) {
-    batch_.push_back(FateRecord{p, fate, where, sim_.now()});
-  }
+  if (sink_ != nullptr) batch_.push_back(FateRecord{p, fate, where, when});
 }
 
 void DataPlane::flush_fates() {
@@ -134,9 +169,33 @@ void DataPlane::flush_fates() {
   batch_.clear();
 }
 
+void DataPlane::on_bridge() {
+  bridge_armed_ = false;
+  if (ff_ && sync()) {
+    ff_bridge();
+    return;
+  }
+  drain_due();
+  rearm();
+  flush_fates();
+  if (backend_ == PlaneBackend::kFastForward && in_flight_ == 0 &&
+      !bridge_armed_) {
+    enter_fast_forward();
+  }
+}
+
+void DataPlane::arm(sim::SimTime at) {
+  // arm_external replaces any previous arming with a fresh tie-break seq
+  // — exactly the ordering a cancel-and-reschedule would produce.
+  bridge_armed_ = true;
+  bridge_time_ = at;
+  sim_.arm_external(at);
+}
+
 void DataPlane::save_state(snap::Writer& w) const {
   assert(batch_.empty());  // saves run from control events, never mid-drain
-  w.u64(next_seq_);
+  const std::vector<HopEvent> pending = pending_hops();
+  w.u64(ff_ ? seq_offset_ + counters().hops : next_seq_);
   w.u64(next_packet_id_);
   w.u64(in_flight_);
   w.u64(counters_.injected);
@@ -144,10 +203,11 @@ void DataPlane::save_state(snap::Writer& w) const {
   w.u64(counters_.ttl_exhausted);
   w.u64(counters_.no_route);
   w.u64(counters_.link_down);
-  w.u64(counters_.hops);
+  w.u64(counters().hops);
   w.b(bridge_armed_);
   w.time(bridge_time_);
-  const auto write_event = [&w](const HopEvent& ev) {
+  w.u64(pending.size());
+  for (const HopEvent& ev : pending) {
     w.time(ev.at);
     w.u64(ev.seq);
     w.u32(ev.node);
@@ -157,26 +217,6 @@ void DataPlane::save_state(snap::Writer& w) const {
     w.i64(ev.packet.ttl);
     w.time(ev.packet.sent_at);
     w.i64(ev.packet.hops_taken);
-  };
-  if (backend_ == PlaneBackend::kRings) {
-    // Rings are already ascending by (at, seq): tick cohorts are sorted
-    // and each cohort holds its packets in seq order — the same canonical
-    // bytes the heap path writes.
-    std::uint64_t n = 0;
-    for (const TickRing& r : rings_) n += r.items.size() - r.head;
-    w.u64(n);
-    for (const TickRing& r : rings_) {
-      for (std::size_t i = r.head; i < r.items.size(); ++i) {
-        write_event(r.items[i]);
-      }
-    }
-  } else {
-    auto heap = heap_;  // drain a copy: ascending, deterministic order
-    w.u64(heap.size());
-    while (!heap.empty()) {
-      write_event(heap.top());
-      heap.pop();
-    }
   }
 }
 
@@ -192,11 +232,8 @@ void DataPlane::restore_state(snap::Reader& r) {
   counters_.hops = r.u64();
   bridge_armed_ = r.b();
   bridge_time_ = r.time();
-  heap_ = {};
-  rings_.clear();
-  const std::uint64_t n = r.u64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    HopEvent ev;
+  std::vector<HopEvent> events(static_cast<std::size_t>(r.u64()));
+  for (HopEvent& ev : events) {
     ev.at = r.time();
     ev.seq = r.u64();
     ev.node = r.u32();
@@ -206,33 +243,93 @@ void DataPlane::restore_state(snap::Reader& r) {
     ev.packet.ttl = static_cast<int>(r.i64());
     ev.packet.sent_at = r.time();
     ev.packet.hops_taken = static_cast<int>(r.i64());
-    if (backend_ == PlaneBackend::kRings) {
-      ring_insert(std::move(ev));
-    } else {
-      heap_.push(std::move(ev));
-    }
+  }
+  rings_.clear();
+  ff_ = false;
+  ff_reset(sim_.now());
+
+  // Fast-forward takes the state over only when the lockstep invariant
+  // describes it: one link delay, the hops the last ones pushed (seqs
+  // consecutive), every arrival within one delay of now, only now's phase
+  // split across two ticks, and a bridge the live simulator really holds.
+  const sim::SimTime now = sim_.now();
+  const std::size_t n = events.size();
+  bool eligible = backend_ == PlaneBackend::kFastForward && uniform_delay() &&
+                  in_flight_ == n && next_seq_ >= counters_.hops &&
+                  next_seq_ >= n;
+  bool refire = false;
+  if (eligible && n == 0) {
+    eligible = !bridge_armed_ && !sim_.external_armed();
+  } else if (eligible) {
+    // Armed for the first pending tick, or the ring store's re-arm at the
+    // tick it just drained.
+    refire = bridge_time_ == now && events.front().at > now;
+    eligible = bridge_armed_ && sim_.external_armed() &&
+               sim_.external_time() == bridge_time_ &&
+               (bridge_time_ == events.front().at || refire);
+  }
+  for (std::size_t k = 0; eligible && k < n; ++k) {
+    const HopEvent& ev = events[k];
+    // Within [now, now + D] two ticks of one phase can only be now and
+    // now + D.
+    eligible = ev.seq == next_seq_ - n + k && ev.at >= now &&
+               ev.at <= now + delay_ && ev.packet.ttl >= 1 &&
+               (k == 0 || events[k - 1].at <= ev.at);
+  }
+  if (!eligible) {
+    for (HopEvent& ev : events) ring_insert(std::move(ev));
+    return;
+  }
+
+  ff_ = true;
+  const bool due_now = n > 0 && events.front().at == now;
+  ff_reset(due_now ? now - sim::SimTime::micros(1) : now);
+  refire_pending_ = refire;
+  seq_offset_ = next_seq_ - counters_.hops;
+  hops_base_ = counters_.hops;
+  in_flight_ = n;
+  for (const HopEvent& ev : events) {
+    // A hop one delay out in the phase whose cohort is still due now was
+    // injected ahead of that cohort's drain.
+    const bool front = due_now && ev.at == now + delay_;
+    predict(ff_add(ev.packet, ev.at, front), ev.node);
   }
 }
 
-void DataPlane::push_hop(sim::SimTime at, net::NodeId node, Packet packet) {
-  if (backend_ == PlaneBackend::kRings) {
-    // Steady-state fast path: construct the HopEvent once, directly in
-    // its final cohort slot.
-    std::vector<HopEvent>* items;
-    if (!rings_.empty() && at == rings_.back().at) {
-      items = &rings_.back().items;
-    } else if (rings_.empty() || at > rings_.back().at) {
-      rings_.push_back(TickRing{at, 0, pooled_items()});
-      items = &rings_.back().items;
-    } else {
-      ring_insert(HopEvent{at, next_seq_++, node, std::move(packet)});
-      rearm();
-      return;
-    }
-    items->push_back(HopEvent{at, next_seq_++, node, std::move(packet)});
-  } else {
-    heap_.push(HopEvent{at, next_seq_++, node, std::move(packet)});
+// ---------------------------------------------------------------------------
+// Ring store: one arrival at a time.
+
+void DataPlane::arrive(net::NodeId node, Packet packet) {
+  const Decision& d = cached_decide(node, packet.prefix);
+  if (d.kind != Decision::Kind::kForward) {
+    record_fate(packet, fate_of(d.kind), node, sim_.now());
+    return;
   }
+  // One TTL decrement per AS hop (the study's loop indicator).
+  if (--packet.ttl <= 0) {
+    record_fate(packet, PacketFate::kTtlExhausted, node, sim_.now());
+    return;
+  }
+  ++packet.hops_taken;
+  ++counters_.hops;
+  push_hop(sim_.now() + d.delay, d.next_hop, std::move(packet));
+}
+
+void DataPlane::push_hop(sim::SimTime at, net::NodeId node, Packet packet) {
+  // Steady-state fast path: construct the HopEvent once, directly in its
+  // final cohort slot.
+  std::vector<HopEvent>* items;
+  if (!rings_.empty() && at == rings_.back().at) {
+    items = &rings_.back().items;
+  } else if (rings_.empty() || at > rings_.back().at) {
+    rings_.push_back(TickRing{at, 0, pooled_items()});
+    items = &rings_.back().items;
+  } else {
+    ring_insert(HopEvent{at, next_seq_++, node, std::move(packet)});
+    rearm();
+    return;
+  }
+  items->push_back(HopEvent{at, next_seq_++, node, std::move(packet)});
   rearm();
 }
 
@@ -268,52 +365,581 @@ void DataPlane::ring_insert(HopEvent ev) {
 }
 
 const sim::SimTime* DataPlane::next_pending_at() const {
-  if (backend_ == PlaneBackend::kRings) {
-    // Only the front cohort can be part-drained; skip it once exhausted.
-    for (const TickRing& r : rings_) {
-      if (r.head < r.items.size()) return &r.at;
-    }
-    return nullptr;
+  // Only the front cohort can be part-drained; skip it once exhausted.
+  for (const TickRing& r : rings_) {
+    if (r.head < r.items.size()) return &r.at;
   }
-  return heap_.empty() ? nullptr : &heap_.top().at;
+  return nullptr;
 }
 
 void DataPlane::rearm() {
   const sim::SimTime* next = next_pending_at();
   if (next == nullptr) return;
   if (bridge_armed_ && bridge_time_ <= *next) return;  // armed early enough
-  // arm_external replaces any previous arming with a fresh tie-break seq
-  // — exactly the ordering the old cancel-and-reschedule produced.
-  bridge_armed_ = true;
-  bridge_time_ = *next;
-  sim_.arm_external(*next);
+  arm(*next);
 }
 
 void DataPlane::drain_due() {
   const sim::SimTime now = sim_.now();
-  if (backend_ == PlaneBackend::kRings) {
-    while (!rings_.empty() && rings_.front().at <= now) {
-      TickRing& front = rings_.front();
-      if (front.head >= front.items.size()) {
-        // Recycle the cohort's storage before retiring it.
-        front.items.clear();
-        ring_pool_.push_back(std::move(front.items));
-        rings_.pop_front();
-        continue;
-      }
-      // Copy out before advancing; arrive() may grow this cohort's vector
-      // (zero-delay links) or insert new cohorts.
-      HopEvent ev = std::move(front.items[front.head++]);
-      arrive(ev.node, std::move(ev.packet));
+  while (!rings_.empty() && rings_.front().at <= now) {
+    TickRing& front = rings_.front();
+    if (front.head >= front.items.size()) {
+      // Recycle the cohort's storage before retiring it.
+      front.items.clear();
+      ring_pool_.push_back(std::move(front.items));
+      rings_.pop_front();
+      continue;
     }
-    return;
-  }
-  while (!heap_.empty() && heap_.top().at <= now) {
-    // Copy out before pop; arrive() may push new hops.
-    HopEvent ev = heap_.top();
-    heap_.pop();
+    // Copy out before advancing; arrive() may grow this cohort's vector
+    // (zero-delay links) or insert new cohorts.
+    HopEvent ev = std::move(front.items[front.head++]);
     arrive(ev.node, std::move(ev.packet));
   }
+}
+
+
+// ---------------------------------------------------------------------------
+// Fast-forward: one prediction per stable segment.
+
+net::NodeId DataPlane::Flight::node_at(std::int64_t i) const {
+  const auto len = static_cast<std::int64_t>(path.size());
+  if (i < len) return path[static_cast<std::size_t>(i)];
+  const auto c = static_cast<std::int64_t>(cycle);
+  return path[static_cast<std::size_t>(c + (i - c) % (len - c))];
+}
+
+void DataPlane::LatticeCount::join(std::int64_t offset, std::int64_t since) {
+  offsets.insert(std::upper_bound(offsets.begin(), offsets.end(), offset),
+                 offset);
+  since_sum += since;
+}
+
+void DataPlane::LatticeCount::leave(std::int64_t offset, std::int64_t since,
+                                    std::int64_t until) {
+  offsets.erase(std::lower_bound(offsets.begin(), offsets.end(), offset));
+  since_sum -= since;
+  closed += until - since;
+}
+
+std::int64_t DataPlane::LatticeCount::through(std::int64_t q,
+                                              std::int64_t r) const {
+  // Σ over members of floor((c − offset) / D), for c = q·D + r, is
+  // |members|·q minus the members whose offset lies above r.
+  const auto n = static_cast<std::int64_t>(offsets.size());
+  const auto above = n - static_cast<std::int64_t>(first_above(offsets, r));
+  return closed + n * q - above - since_sum;
+}
+
+void DataPlane::on_route_change(net::NodeId node, net::Prefix prefix) {
+  // O(1) while nothing of this prefix is in flight (a restore reconciling a
+  // full table touches tens of thousands of entries at quiescence).
+  if (!ff_ || in_flight_ == 0 || prefix >= live_per_prefix_.size() ||
+      live_per_prefix_[prefix] == 0) {
+    return;
+  }
+  const std::size_t stride = destinations_.size();
+  if (dirty_mark_.size() != topo_.node_count() * stride) {
+    dirty_mark_.assign(topo_.node_count() * stride, 0);
+  }
+  dirty_mark_[node * stride + prefix] = dirty_epoch_;
+  dirty_ = true;
+}
+
+bool DataPlane::uniform_delay() {
+  if (delay_stamp_ != topo_.state_version()) {
+    delay_stamp_ = topo_.state_version();
+    delay_uniform_ = topo_.link_count() > 0;
+    if (delay_uniform_) delay_ = topo_.link(0).delay;
+    for (net::LinkId l = 0; delay_uniform_ && l < topo_.link_count(); ++l) {
+      delay_uniform_ = topo_.link(l).delay == delay_;
+    }
+    delay_uniform_ = delay_uniform_ && delay_ > sim::SimTime::zero() &&
+                     delay_ <= kMaxFastForwardDelay;
+    if (delay_uniform_) {
+      // ceil(2^64 / D); it wraps to 0 only for D = 1, which div_delay
+      // handles.
+      delay_magic_ =
+          ~std::uint64_t{0} / static_cast<std::uint64_t>(delay_.as_micros()) +
+          1;
+    }
+  }
+  return delay_uniform_;
+}
+
+bool DataPlane::enter_fast_forward() {
+  assert(in_flight_ == 0 && !bridge_armed_);
+  if (!uniform_delay()) return false;
+  rings_.clear();
+  ff_ = true;
+  ff_reset(sim_.now());
+  seq_offset_ = next_seq_ - counters_.hops;
+  hops_base_ = counters_.hops;
+  return true;
+}
+
+void DataPlane::fall_back_to_rings() {
+  std::vector<HopEvent> pending = pending_hops();
+  counters_.hops = ff_hops();
+  next_seq_ = seq_offset_ + counters_.hops;
+  ff_ = false;
+  ff_reset(sim_.now());
+  rings_.clear();
+  for (HopEvent& ev : pending) ring_insert(std::move(ev));
+}
+
+void DataPlane::ff_reset(sim::SimTime cursor) {
+  cursor_ = cursor;
+  for (const std::uint32_t f : alive_) free_flights_.push_back(f);
+  alive_.clear();
+  for (Flight& f : flights_) ++f.gen;
+  for (const std::int64_t offset : live_.offsets) close_phase(offset);
+  live_ = {};
+  multi_ = {};
+  refire_pending_ = false;
+  terminals_ = {};
+  live_per_prefix_.assign(destinations_.size(), 0);
+  clear_dirty();
+  topo_stamp_ = topo_.state_version();
+}
+
+void DataPlane::clear_dirty() {
+  dirty_ = false;
+  if (++dirty_epoch_ == 0) {
+    std::fill(dirty_mark_.begin(), dirty_mark_.end(), 0);
+    dirty_epoch_ = 1;
+  }
+}
+
+bool DataPlane::sync() {
+  if (topo_.state_version() != topo_stamp_) {
+    // A link changed (or was added): decisions anywhere may differ.
+    topo_stamp_ = topo_.state_version();
+    if (!uniform_delay()) {
+      fall_back_to_rings();
+      return false;
+    }
+    for (const std::uint32_t f : alive_) {
+      reanchor(f);
+      ++counters_.repredictions;
+    }
+    clear_dirty();
+    return true;
+  }
+  if (!dirty_) return true;
+  const std::size_t stride = destinations_.size();
+  for (const std::uint32_t fi : alive_) {
+    const Flight& f = flights_[fi];
+    // The remaining path: from the next arrival on, the whole cycle once
+    // the packet is inside it.
+    std::int64_t k = processed(f);
+    if (f.cyclic && k > static_cast<std::int64_t>(f.cycle)) k = f.cycle;
+    for (; k < static_cast<std::int64_t>(f.path.size()); ++k) {
+      const net::NodeId x = f.path[static_cast<std::size_t>(k)];
+      if (dirty_mark_[x * stride + f.packet.prefix] == dirty_epoch_) {
+        reanchor(fi);
+        ++counters_.repredictions;
+        break;
+      }
+    }
+  }
+  clear_dirty();
+  return true;
+}
+
+void DataPlane::ff_inject(Packet p) {
+  // The source's own decision is the ring store's, taken at once.
+  const Decision& d = cached_decide(p.source, p.prefix);
+  const sim::SimTime now = sim_.now();
+  if (d.kind != Decision::Kind::kForward) {
+    record_fate(p, fate_of(d.kind), p.source, now);
+    return;
+  }
+  if (--p.ttl <= 0) {
+    record_fate(p, PacketFate::kTtlExhausted, p.source, now);
+    return;
+  }
+  ++p.hops_taken;
+  ++hops_base_;
+  const sim::SimTime at = now + delay_;
+  bool front = false;
+  if (find_phase(offset_of(at)) != nullptr) {
+    // The phase's cohort is due now: the packet joins ahead of it unless
+    // that drain already ran.
+    front = cursor_ < now;
+  } else {
+    // A new window. Nothing is due at now (only this phase could be), so
+    // the cursor may move up to now.
+    cursor_ = std::max(cursor_, now);
+  }
+  predict(ff_add(p, at, front), d.next_hop);
+  if (!bridge_armed_) arm(next_instant());
+}
+
+std::uint32_t DataPlane::ff_add(const Packet& p, sim::SimTime at,
+                                bool front) {
+  std::uint32_t fi;
+  if (free_flights_.empty()) {
+    fi = static_cast<std::uint32_t>(flights_.size());
+    flights_.emplace_back();
+  } else {
+    fi = free_flights_.back();
+    free_flights_.pop_back();
+  }
+  Flight& f = flights_[fi];
+  f.packet = p;
+  f.anchor_at = at;
+  const std::int64_t offset = offset_of(at);
+  bool fresh = false;
+  Phase& ph = open_phase(offset, fresh);
+  if (fresh) {
+    ph.live_since = lattice(offset, cursor_);
+    live_.join(offset, ph.live_since);
+  }
+  if (front) {
+    const sim::SimTime now = at - delay_;
+    if (ph.front_at != now) {
+      ph.front_at = now;
+      ph.min_key -= kFrontBlock;
+      ph.front_next = ph.min_key;
+    }
+    f.key = ph.front_next++;
+  } else {
+    f.key = ph.back_key++;
+  }
+  f.phase_pos = static_cast<std::uint32_t>(ph.members.size());
+  ph.members.push_back(fi);
+  if (ph.members.size() == 2) {
+    ph.multi_since = lattice(offset, cursor_);
+    multi_.join(offset, ph.multi_since);
+  }
+  f.alive_pos = static_cast<std::uint32_t>(alive_.size());
+  alive_.push_back(fi);
+  ++live_per_prefix_[p.prefix];
+  return fi;
+}
+
+void DataPlane::predict(std::uint32_t fi, net::NodeId start) {
+  const std::size_t nodes = topo_.node_count();
+  if (visit_mark_.size() != nodes) {
+    visit_mark_.assign(nodes, 0);
+    visit_index_.assign(nodes, 0);
+  }
+  if (++walk_epoch_ == 0) {
+    std::fill(visit_mark_.begin(), visit_mark_.end(), 0);
+    walk_epoch_ = 1;
+  }
+  Flight& f = flights_[fi];
+  f.path.clear();
+  f.cyclic = false;
+  const std::int64_t ttl = f.packet.ttl;
+  net::NodeId x = start;
+  for (std::int64_t j = 0;; ++j) {
+    if (visit_mark_[x] == walk_epoch_) {
+      // A revisit: the packet circles this cycle until its TTL runs out.
+      f.cyclic = true;
+      f.cycle = visit_index_[x];
+      f.terminal = ttl - 1;
+      f.fate = PacketFate::kTtlExhausted;
+      f.where = f.node_at(f.terminal);
+      break;
+    }
+    visit_mark_[x] = walk_epoch_;
+    visit_index_[x] = static_cast<std::uint32_t>(j);
+    f.path.push_back(x);
+    const Decision& d = cached_decide(x, f.packet.prefix);
+    if (d.kind != Decision::Kind::kForward) {
+      f.terminal = j;
+      f.fate = fate_of(d.kind);
+      f.where = x;
+      break;
+    }
+    if (ttl - j - 1 <= 0) {
+      f.terminal = j;
+      f.fate = PacketFate::kTtlExhausted;
+      f.where = x;
+      break;
+    }
+    x = d.next_hop;
+  }
+  ++f.gen;
+  terminals_.push(Terminal{f.anchor_at + delay_ * f.terminal, fi, f.gen});
+  ++counters_.segments;
+}
+
+void DataPlane::reanchor(std::uint32_t fi) {
+  Flight& f = flights_[fi];
+  const std::int64_t i = processed(f);
+  const net::NodeId start = f.node_at(i);
+  if (i > 0) {
+    hops_base_ += static_cast<std::uint64_t>(i);
+    f.packet.ttl -= static_cast<int>(i);
+    f.packet.hops_taken += static_cast<int>(i);
+    f.anchor_at += delay_ * i;
+  }
+  predict(fi, start);
+}
+
+bool DataPlane::drain_instant(sim::SimTime t) {
+  // The cohort due at t is the phase minus the injections that joined
+  // ahead of it at t (they arrive one delay later). The ring store re-arms
+  // at t when a member other than the last in FIFO order forwards on.
+  const std::int64_t offset = offset_of(t);
+  Phase& ph = *find_phase(offset);
+  cursor_ = t;
+  const Terminal* top = next_terminal();
+  if (top == nullptr || top->at != t) {
+    const std::size_t ahead =
+        ph.front_at == t
+            ? static_cast<std::size_t>(ph.front_next - ph.min_key)
+            : 0;
+    return ph.members.size() - ahead >= 2;
+  }
+  std::int64_t last_key = std::numeric_limits<std::int64_t>::min();
+  std::int64_t first_survivor = std::numeric_limits<std::int64_t>::max();
+  for (const std::uint32_t fi : ph.members) {
+    const Flight& f = flights_[fi];
+    if (f.anchor_at > t) continue;  // joined ahead at t
+    last_key = std::max(last_key, f.key);
+    if (f.anchor_at + delay_ * f.terminal != t) {
+      first_survivor = std::min(first_survivor, f.key);
+    }
+  }
+
+  due_.clear();
+  for (; top != nullptr && top->at == t; top = next_terminal()) {
+    due_.push_back(top->flight);
+    terminals_.pop();
+  }
+  // One instant is one phase: its packets end in ring (FIFO) order.
+  std::sort(due_.begin(), due_.end(), [this](std::uint32_t a, std::uint32_t b) {
+    return flights_[a].key < flights_[b].key;
+  });
+  for (const std::uint32_t fi : due_) {
+    Flight& f = flights_[fi];
+    Packet p = f.packet;
+    p.ttl -= static_cast<int>(f.terminal) +
+             (f.fate == PacketFate::kTtlExhausted ? 1 : 0);
+    p.hops_taken += static_cast<int>(f.terminal);
+    hops_base_ += static_cast<std::uint64_t>(f.terminal);
+    record_fate(p, f.fate, f.where, t);
+    --live_per_prefix_[p.prefix];
+    const std::uint32_t moved = alive_.back();
+    alive_[f.alive_pos] = moved;
+    flights_[moved].alive_pos = f.alive_pos;
+    alive_.pop_back();
+    ++f.gen;
+    free_flights_.push_back(fi);
+    const std::uint32_t last = ph.members.back();
+    ph.members[f.phase_pos] = last;
+    flights_[last].phase_pos = f.phase_pos;
+    ph.members.pop_back();
+    if (ph.members.size() == 1) {
+      multi_.leave(offset, ph.multi_since, lattice(offset, t));
+    } else if (ph.members.empty()) {
+      live_.leave(offset, ph.live_since, lattice(offset, t));
+      close_phase(offset);
+      break;  // the phase is gone: every due flight was its member
+    }
+  }
+  flush_fates();
+  return first_survivor < last_key;
+}
+
+std::uint64_t DataPlane::stand_ins(const LivePos& a, const LivePos& b) const {
+  // Every instant in (a, b] drains once; in a multi-packet phase it also
+  // fires once more for its re-arm. The live count needs no search: it is
+  // Σ floor((c − offset) / D) over the live offsets, differenced.
+  const auto live = static_cast<std::int64_t>(live_.offsets.size());
+  return static_cast<std::uint64_t>(
+      live * (b.q - a.q) + static_cast<std::int64_t>(b.above) -
+      static_cast<std::int64_t>(a.above) + multi_.through(b.q, b.r) -
+      multi_.through(a.q, a.r));
+}
+
+void DataPlane::ff_bridge() {
+  // The slot fired at the next logical event (the simulator counted it);
+  // every further one before the horizon is stood in for here.
+  const sim::SimTime horizon = sim_.external_horizon();
+  const sim::SimTime now = sim_.now();
+  if (refire_pending_) {
+    refire_pending_ = false;  // the re-arm at cursor_ has fired
+  } else if (drain_instant(now)) {
+    if (horizon <= now) {
+      // Queued events at this instant run before the re-armed bridge.
+      arm(now);
+      refire_pending_ = true;
+      return;
+    }
+    sim_.advance_external(now, 1);
+  }
+  const sim::SimTime one = sim::SimTime::micros(1);
+  while (in_flight_ > 0) {
+    const LivePos from = live_pos(cursor_);
+    const sim::SimTime next = instant_after(from);
+    const Terminal* t = next_terminal();
+    if (t == nullptr || t->at >= horizon) {
+      if (next < horizon) {
+        // Nothing ends before the horizon: stand in for every instant up
+        // to it at once.
+        const LivePos to = live_pos(horizon - one);
+        cursor_ = instant_through(to);
+        sim_.advance_external(cursor_, stand_ins(from, to));
+        arm(instant_after(to));
+      } else {
+        arm(next);
+      }
+      return;
+    }
+    // The instants before the terminal one, then its drain (and re-arm).
+    const sim::SimTime stop = t->at;
+    const LivePos before = live_pos(stop - one);
+    cursor_ = stop - one;
+    sim_.advance_external(stop, stand_ins(from, before) + 1);
+    bridge_time_ = stop;  // stays, should the plane empty here
+    if (drain_instant(stop)) sim_.advance_external(stop, 1);
+  }
+}
+
+std::int64_t DataPlane::processed(const Flight& f) const {
+  if (cursor_ < f.anchor_at) return 0;
+  return div_delay((cursor_ - f.anchor_at).as_micros()) + 1;
+}
+
+std::int64_t DataPlane::lattice(std::int64_t phase, sim::SimTime t) const {
+  // floor((t − phase) / D) for t − phase > −D.
+  const std::int64_t d = delay_.as_micros();
+  return div_delay(t.as_micros() - phase + d) - 1;
+}
+
+std::int64_t DataPlane::offset_of(sim::SimTime t) const {
+  return t.as_micros() - div_delay(t.as_micros()) * delay_.as_micros();
+}
+
+std::int64_t DataPlane::div_delay(std::int64_t t) const {
+  // floor(t / D) as the high word of t·ceil(2^64 / D): exact for
+  // 0 <= t < 2^64 / D (the error stays below 1/D), no hardware divide.
+  if (delay_magic_ == 0) return t;  // D == 1
+  return static_cast<std::int64_t>(
+      (static_cast<unsigned __int128>(static_cast<std::uint64_t>(t)) *
+       delay_magic_) >>
+      64);
+}
+
+DataPlane::Phase* DataPlane::find_phase(std::int64_t offset) {
+  if (phase_of_.empty()) return nullptr;
+  const std::uint32_t i = phase_of_[static_cast<std::size_t>(offset)];
+  return i == kNoPhase ? nullptr : &phase_pool_[i];
+}
+
+DataPlane::Phase& DataPlane::open_phase(std::int64_t offset, bool& fresh) {
+  if (phase_of_.size() != static_cast<std::size_t>(delay_.as_micros())) {
+    phase_of_.assign(static_cast<std::size_t>(delay_.as_micros()), kNoPhase);
+  }
+  std::uint32_t& slot = phase_of_[static_cast<std::size_t>(offset)];
+  fresh = slot == kNoPhase;
+  if (fresh) {
+    if (free_phases_.empty()) {
+      slot = static_cast<std::uint32_t>(phase_pool_.size());
+      phase_pool_.emplace_back();
+    } else {
+      slot = free_phases_.back();
+      free_phases_.pop_back();
+      std::vector<std::uint32_t> members = std::move(phase_pool_[slot].members);
+      members.clear();
+      phase_pool_[slot] = Phase{};
+      phase_pool_[slot].members = std::move(members);
+    }
+  }
+  return phase_pool_[slot];
+}
+
+void DataPlane::close_phase(std::int64_t offset) {
+  std::uint32_t& slot = phase_of_[static_cast<std::size_t>(offset)];
+  free_phases_.push_back(slot);
+  slot = kNoPhase;
+}
+
+DataPlane::LivePos DataPlane::live_pos(sim::SimTime c) const {
+  const std::int64_t q = div_delay(c.as_micros());
+  const std::int64_t r = c.as_micros() - q * delay_.as_micros();
+  return LivePos{q, r, first_above(live_.offsets, r)};
+}
+
+sim::SimTime DataPlane::instant_after(const LivePos& p) const {
+  const std::vector<std::int64_t>& live = live_.offsets;
+  assert(!live.empty());
+  const std::int64_t d = delay_.as_micros();
+  if (p.above < live.size()) return sim::SimTime::micros(p.q * d + live[p.above]);
+  return sim::SimTime::micros((p.q + 1) * d + live.front());
+}
+
+sim::SimTime DataPlane::instant_through(const LivePos& p) const {
+  const std::vector<std::int64_t>& live = live_.offsets;
+  assert(!live.empty());
+  const std::int64_t d = delay_.as_micros();
+  if (p.above > 0) return sim::SimTime::micros(p.q * d + live[p.above - 1]);
+  return sim::SimTime::micros((p.q - 1) * d + live.back());
+}
+
+sim::SimTime DataPlane::next_instant() const {
+  return instant_after(live_pos(cursor_));
+}
+
+const DataPlane::Terminal* DataPlane::next_terminal() {
+  while (!terminals_.empty() &&
+         terminals_.top().gen != flights_[terminals_.top().flight].gen) {
+    terminals_.pop();
+  }
+  return terminals_.empty() ? nullptr : &terminals_.top();
+}
+
+std::uint64_t DataPlane::ff_hops() const {
+  std::uint64_t hops = hops_base_;
+  for (const std::uint32_t fi : alive_) {
+    hops += static_cast<std::uint64_t>(processed(flights_[fi]));
+  }
+  return hops;
+}
+
+std::vector<DataPlane::HopEvent> DataPlane::pending_hops() const {
+  std::vector<HopEvent> out;
+  if (!ff_) {
+    // Rings are already ascending by (at, seq): tick cohorts are sorted
+    // and each cohort holds its packets in seq order.
+    for (const TickRing& r : rings_) {
+      out.insert(out.end(), r.items.begin() + static_cast<std::ptrdiff_t>(r.head),
+                 r.items.end());
+    }
+    return out;
+  }
+  struct Row {
+    HopEvent ev;
+    std::int64_t key;
+  };
+  std::vector<Row> rows;
+  rows.reserve(alive_.size());
+  for (const std::uint32_t fi : alive_) {
+    const Flight& f = flights_[fi];
+    const std::int64_t i = processed(f);
+    Row row{HopEvent{f.anchor_at + delay_ * i, 0, f.node_at(i), f.packet},
+            f.key};
+    row.ev.packet.ttl -= static_cast<int>(i);
+    row.ev.packet.hops_taken += static_cast<int>(i);
+    rows.push_back(row);
+  }
+  // Ring order: by arrival tick, FIFO within it. The pending hops are the
+  // last ones pushed, so their seqs are the counter's last values.
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    if (a.ev.at != b.ev.at) return a.ev.at < b.ev.at;
+    return a.key < b.key;
+  });
+  const std::uint64_t next_seq = seq_offset_ + ff_hops();
+  out.reserve(rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    out.push_back(rows[k].ev);
+    out.back().seq = next_seq - rows.size() + k;
+  }
+  return out;
 }
 
 }  // namespace bgpsim::fwd

@@ -1,4 +1,5 @@
-// Hop-by-hop data-plane forwarding.
+// Data-plane forwarding: packets fast-forwarded over stable forwarding
+// state, with a hop-by-hop ring store as the reference and fallback.
 #pragma once
 
 #include <cstdint>
@@ -16,12 +17,13 @@
 
 namespace bgpsim::fwd {
 
-/// In-flight hop store backend. kRings, the engine's store, keeps packets
-/// in flat per-arrival-tick FIFO rings; kHeap is the (time, seq)
-/// binary-heap reference that only the differential tests and
-/// microbenchmarks construct. Pop order, seq assignment, bridge arming,
-/// and trial digests are bit-identical either way.
-enum class PlaneBackend : std::uint8_t { kHeap = 0, kRings = 1 };
+/// How a DataPlane moves packets. kFastForward, the engine's choice,
+/// predicts each packet's whole trajectory and fires only its terminal
+/// fate; kRings steps every hop through per-arrival-tick FIFO rings and is
+/// the reference the differential tests replay against it. Fates, fate
+/// order, counters, events_fired, tie-break seqs and save_state bytes are
+/// identical either way.
+enum class PlaneBackend : std::uint8_t { kRings = 1, kFastForward = 2 };
 
 /// Construction-time configuration of a DataPlane.
 struct DataPlaneOptions {
@@ -29,9 +31,9 @@ struct DataPlaneOptions {
   /// terminate at destinations[p]. net::kInvalidNode marks a hole (no
   /// destination registered for that prefix).
   std::vector<net::NodeId> destinations;
-  /// Hop-store backend. Only the differential tests and microbenchmarks
-  /// set kHeap.
-  PlaneBackend backend = PlaneBackend::kRings;
+  /// Forwarding backend. Only the differential tests and microbenchmarks
+  /// set kRings.
+  PlaneBackend backend = PlaneBackend::kFastForward;
 
   /// The study's setting: one prefix (0), one destination.
   [[nodiscard]] static DataPlaneOptions single(net::NodeId destination) {
@@ -48,34 +50,59 @@ struct Injection {
   int ttl = kDefaultTtl;
 };
 
-/// Forwards packets hop by hop against the per-node FIBs.
+/// Forwards packets against the per-node FIBs.
 ///
 /// Per the study: no nodal delay for data packets (slow packet rate keeps
 /// queueing negligible), one TTL decrement per AS hop, 2 ms per link.
 ///
-/// Because a scenario moves millions of packet hops, the engine keeps its
-/// own store of in-flight hop events and surfaces only the earliest one
-/// to the shared Simulator through its external event slot ("bridge").
-/// The slot draws its FIFO tie-break seq from the simulator's counter, so
-/// firing order against control-plane events is identical to scheduling a
-/// real event. Two interchangeable stores exist (PlaneBackend): the ring
-/// store, used by every run, appends each hop to the FIFO ring of its
-/// arrival tick (O(1), no percolation) and drains whole tick cohorts in
-/// order; the heap store is the per-event reference the differential
-/// tests replay against it. Forwarding decisions are served from a
-/// (node, prefix) cache stamp-validated against the FIB and topology
-/// version counters, so the full FIB/link lookup runs once per routing
-/// change instead of once per hop. Both stores reproduce the same
-/// bridge-arming sequence (including the heap's re-arm-at-now while due
-/// packets remain), so events_fired and every digest are bit-identical
-/// across backends.
-class DataPlane {
+/// The reference model is hop by hop. Every in-flight hop sits in a FIFO
+/// ring of its arrival tick, and the plane surfaces only the earliest tick
+/// to the shared Simulator through its external slot (the "bridge"). The
+/// slot draws its tie-break seq from the simulator's counter when it is
+/// armed (at the end of the previous drain, or by an injection into an
+/// idle plane), so a control event due at the same microsecond as a tick
+/// runs first exactly when it was scheduled before that arming. Every
+/// bridge drain counts in events_fired, which the trial digests include:
+/// events_fired is control events plus one per distinct hop-arrival
+/// instant.
+///
+/// Fast-forward reproduces that model without stepping it. A packet's path
+/// depends only on the forwarding state, and a loop lasts until one of its
+/// members changes route, so between two changes a packet's fate is
+/// already decided. On injection, and whenever a FIB entry (FibListener
+/// feed) or a link changes under its predicted remaining path, the plane
+/// walks the (node, prefix) decision cache from the packet's exact
+/// position until it is delivered, dropped, or revisits a node; a revisit
+/// jumps whole cycles to the TTL-exhaustion node and instant. Only
+/// terminal instants do work.
+///
+/// The bookkeeping stays exact because of the lockstep invariant: when
+/// every link has the same delay D (every generator and loader uses
+/// kDefaultLinkDelay), all packets whose instants agree mod D — a phase —
+/// arrive together, so a phase's arrival instants form one contiguous
+/// lattice window and the plane's instants are the union of those windows.
+/// Counting them in closed form gives events_fired and hops; a phase's
+/// packets keep their ring FIFO order (an injection joins its phase in
+/// front of a cohort whose drain is still pending, else at the back). The
+/// bridge still fires at the next logical instant after each control
+/// event, and reports the instants it stands in for through
+/// Simulator::advance_external, so the simulator's clock, fired count and
+/// seq counter match the ring model at every control event — which is
+/// also what keeps the tie rule above. A topology with mixed link delays,
+/// or a state the invariant cannot describe (a restore the live simulator
+/// does not match, a clear_pending under packets in flight), falls back to
+/// the ring store until the plane is idle again.
+class DataPlane final : private FibListener {
  public:
   DataPlane(sim::Simulator& simulator, const net::Topology& topology,
             std::vector<Fib>& fibs, DataPlaneOptions options);
+  ~DataPlane();
+  DataPlane(const DataPlane&) = delete;
+  DataPlane& operator=(const DataPlane&) = delete;
 
   /// Attach the (non-owning) terminal-fate consumer: one on_fates call
-  /// per drained tick. Null detaches.
+  /// per terminal instant. Null detaches. The sink must not schedule
+  /// events.
   void set_fate_sink(FateSink* sink) { sink_ = sink; }
 
   /// Originate a fresh packet; returns its id. The injection's prefix
@@ -94,19 +121,24 @@ class DataPlane {
     std::uint64_t no_route = 0;
     std::uint64_t link_down = 0;
     std::uint64_t hops = 0;
+    /// Trajectory predictions (fast-forward only; the ring store reports
+    /// 0). Not serialized.
+    std::uint64_t segments = 0;
+    /// Predictions redone because a route or link change crossed a
+    /// predicted remaining path. Not serialized.
+    std::uint64_t repredictions = 0;
   };
-  [[nodiscard]] const Counters& counters() const { return counters_; }
+  [[nodiscard]] const Counters& counters() const;
 
-  /// Checkpoint the hop store, id/seq counters, packet counters, and the
-  /// bridge bookkeeping. Events are written in ascending (at, seq) order,
-  /// so the bytes are identical under either backend (snapshots are
-  /// backend-portable both ways).
+  /// Checkpoint the in-flight hops, id/seq counters, packet counters, and
+  /// the bridge bookkeeping. Hops are written in ascending (at, seq) order,
+  /// so the bytes are identical under either backend.
   void save_state(snap::Writer& w) const;
 
-  /// Inverse of save_state, replacing the hop-store contents. Valid in
-  /// place (the bridge closure, if armed, is still scheduled and
-  /// unchanged) or into a fresh plane restored at quiescence (empty
-  /// store, bridge unarmed).
+  /// Inverse of save_state, replacing the in-flight contents. Valid in
+  /// place (the bridge, if armed, is still scheduled and unchanged) or
+  /// into a fresh plane restored at quiescence (nothing in flight, bridge
+  /// unarmed).
   void restore_state(snap::Reader& r);
 
  private:
@@ -115,10 +147,6 @@ class DataPlane {
     std::uint64_t seq;  // FIFO tie-break
     net::NodeId node;   // packet is arriving at this node
     Packet packet;
-    friend bool operator>(const HopEvent& a, const HopEvent& b) {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
   };
 
   /// All packets arriving at one exact timestamp, in push (= seq) order.
@@ -146,11 +174,79 @@ class DataPlane {
     Decision d;
   };
 
-  void arrive(net::NodeId node, Packet packet);
+  /// A fast-forwarded packet: its state on arrival at the anchor (the
+  /// first arrival its prediction covers) and the predicted trajectory.
+  /// Arrival i after the anchor is at anchor_at + i·D at node_at(i), with
+  /// TTL packet.ttl − i and hop count packet.hops_taken + i; the packet
+  /// forwards at arrivals 0..terminal−1 and meets `fate` at `terminal`.
+  struct Flight {
+    Packet packet;
+    sim::SimTime anchor_at;
+    std::int64_t key = 0;         // FIFO rank within its phase
+    std::uint32_t gen = 0;        // invalidates stale terminal-heap entries
+    std::uint32_t alive_pos = 0;  // index in alive_
+    std::uint32_t phase_pos = 0;  // index in its phase's members
+    std::vector<net::NodeId> path;  // arrivals 0.. up to a revisit or the end
+    std::uint32_t cycle = 0;        // path index the revisit re-enters
+    bool cyclic = false;
+    std::int64_t terminal = 0;
+    PacketFate fate = PacketFate::kDelivered;
+    net::NodeId where = net::kInvalidNode;
+
+    [[nodiscard]] net::NodeId node_at(std::int64_t i) const;
+  };
+
+  /// The live packets whose arrival instants agree mod D; they arrive
+  /// together, so the phase's instants since it went live are one lattice
+  /// window.
+  struct Phase {
+    std::vector<std::uint32_t> members;  // flights, unordered
+    std::int64_t back_key = 0;           // next key at the back
+    std::int64_t min_key = 0;            // lowest key handed out
+    sim::SimTime front_at = sim::SimTime::infinity();  // front block's tick
+    std::int64_t front_next = 0;         // next key in the front block
+    std::int64_t live_since = 0;   // lattice index when it joined live_
+    std::int64_t multi_since = 0;  // lattice index when it joined multi_
+  };
+
+  /// A set of phases counted on their D-lattices: through(q, r) is the
+  /// number of lattice points at or before c = q·D + r that members have
+  /// passed since they joined, summed over current and former members, so
+  /// the difference at b and a counts the members' points in (a, b].
+  /// O(log members).
+  struct LatticeCount {
+    std::vector<std::int64_t> offsets;  // sorted phase offsets
+    std::int64_t closed = 0;            // points of former members
+    std::int64_t since_sum = 0;         // Σ members' join indices
+    void join(std::int64_t offset, std::int64_t since);
+    void leave(std::int64_t offset, std::int64_t since, std::int64_t until);
+    [[nodiscard]] std::int64_t through(std::int64_t q, std::int64_t r) const;
+  };
+
+  struct Terminal {
+    sim::SimTime at;
+    std::uint32_t flight;
+    std::uint32_t gen;
+    friend bool operator>(const Terminal& a, const Terminal& b) {
+      return a.at > b.at;
+    }
+  };
+
+  // ---- shared ----
+  /// The fate a non-forwarding decision deals.
+  static PacketFate fate_of(Decision::Kind kind);
   Decision decide(net::NodeId node, net::Prefix prefix) const;
   const Decision& cached_decide(net::NodeId node, net::Prefix prefix) const;
-  void finish(const Packet& p, PacketFate fate, net::NodeId where);
+  void record_fate(const Packet& p, PacketFate fate, net::NodeId where,
+                   sim::SimTime when);
   void flush_fates();
+  void on_bridge();
+  void arm(sim::SimTime at);
+  /// The in-flight hops as the ring store holds them: ascending (at, seq).
+  [[nodiscard]] std::vector<HopEvent> pending_hops() const;
+
+  // ---- ring store ----
+  void arrive(net::NodeId node, Packet packet);
   void push_hop(sim::SimTime at, net::NodeId node, Packet packet);
   std::vector<HopEvent> pooled_items();
   void ring_insert(HopEvent ev);
@@ -158,15 +254,53 @@ class DataPlane {
   void rearm();
   void drain_due();
 
+  // ---- fast-forward ----
+  void on_route_change(net::NodeId node, net::Prefix prefix) override;
+  [[nodiscard]] bool uniform_delay();
+  bool enter_fast_forward();
+  void fall_back_to_rings();
+  [[nodiscard]] bool sync();
+  void clear_dirty();
+  void ff_inject(Packet p);
+  void ff_bridge();
+  std::uint32_t ff_add(const Packet& p, sim::SimTime at, bool front);
+  void predict(std::uint32_t f, net::NodeId start);
+  void reanchor(std::uint32_t f);
+  bool drain_instant(sim::SimTime t);
+  /// Where time c falls on the live phases' lattice: c = q·D + r, and
+  /// `above` indexes the first live offset greater than r.
+  struct LivePos {
+    std::int64_t q;
+    std::int64_t r;
+    std::size_t above;
+  };
+  [[nodiscard]] LivePos live_pos(sim::SimTime c) const;
+  /// The first live instant after the position, and the last at or before.
+  [[nodiscard]] sim::SimTime instant_after(const LivePos& p) const;
+  [[nodiscard]] sim::SimTime instant_through(const LivePos& p) const;
+  [[nodiscard]] std::uint64_t stand_ins(const LivePos& a,
+                                        const LivePos& b) const;
+  [[nodiscard]] std::int64_t processed(const Flight& f) const;
+  [[nodiscard]] std::int64_t lattice(std::int64_t phase, sim::SimTime t) const;
+  [[nodiscard]] std::int64_t offset_of(sim::SimTime t) const;
+  [[nodiscard]] std::int64_t div_delay(std::int64_t t) const;
+  [[nodiscard]] Phase* find_phase(std::int64_t offset);
+  Phase& open_phase(std::int64_t offset, bool& fresh);
+  void close_phase(std::int64_t offset);
+  [[nodiscard]] sim::SimTime next_instant() const;
+  [[nodiscard]] const Terminal* next_terminal();
+  [[nodiscard]] std::uint64_t ff_hops() const;
+  void ff_reset(sim::SimTime cursor);
+
   sim::Simulator& sim_;
   const net::Topology& topo_;
   std::vector<Fib>& fibs_;
   std::vector<net::NodeId> destinations_;  // prefix-indexed, dense
   FateSink* sink_ = nullptr;
-  std::vector<FateRecord> batch_;  // fates of the current tick
+  std::vector<FateRecord> batch_;  // fates of the current instant
 
   PlaneBackend backend_;
-  std::priority_queue<HopEvent, std::vector<HopEvent>, std::greater<>> heap_;
+  bool ff_ = false;  // fast-forward mode (else the ring store is live)
   std::deque<TickRing> rings_;
   /// Retired cohort storage, recycled so the steady-state ring insert
   /// never allocates (cohorts are frequently size 1 — every fresh vector
@@ -174,15 +308,55 @@ class DataPlane {
   std::vector<std::vector<HopEvent>> ring_pool_;
   /// (node × prefix) decision cache, stamp-validated against the FIB and
   /// topology version counters; sized on first use, so a plane that never
-  /// forwards (a converging prelude) never allocates it. Shared by both
-  /// backends, so it cannot skew the differential tests.
+  /// forwards (a converging prelude) never allocates it.
   mutable std::vector<CachedDecision> cache_;
   mutable std::size_t cache_stride_ = 0;  // == destinations_.size()
+
+  // Fast-forward state. The cursor is the last processed instant: every
+  // arrival at or before it has happened, none after it.
+  sim::SimTime delay_;                 // the common link delay D
+  std::uint64_t delay_magic_ = 0;      // ceil(2^64 / D): divide by multiply
+  std::uint64_t delay_stamp_ = 0;      // topology version delay_ was read at
+  bool delay_uniform_ = false;
+  sim::SimTime cursor_;
+  std::vector<Flight> flights_;
+  std::vector<std::uint32_t> free_flights_;
+  std::vector<std::uint32_t> alive_;
+  /// Phases by offset mod D: phase_of_[offset] indexes phase_pool_
+  /// (kNoPhase while nothing of that offset is in flight). Sized D on first
+  /// use, so D is capped (kMaxFastForwardDelay).
+  std::vector<std::uint32_t> phase_of_;
+  std::vector<Phase> phase_pool_;
+  std::vector<std::uint32_t> free_phases_;
+  /// Phases with packets in flight: their lattice points are the plane's
+  /// instants (bridge drains).
+  LatticeCount live_;
+  /// Phases with two or more packets in flight. At such an instant the
+  /// ring store's drain, forwarding a packet while others of the cohort are
+  /// still due, re-arms the bridge at that same instant, which then fires
+  /// once more with nothing left to drain: a second event.
+  LatticeCount multi_;
+  /// The armed bridge is that re-arm at cursor_, already drained.
+  bool refire_pending_ = false;
+  std::priority_queue<Terminal, std::vector<Terminal>, std::greater<>>
+      terminals_;
+  std::uint64_t hops_base_ = 0;   // hops settled outside live predictions
+  std::uint64_t seq_offset_ = 0;  // hop seq counter − hops, fixed per mode
+  // Change feed: (node, prefix) marks since the last sync.
+  std::vector<std::uint32_t> dirty_mark_;  // node × prefix, == dirty_epoch_
+  std::uint32_t dirty_epoch_ = 1;
+  bool dirty_ = false;
+  std::uint64_t topo_stamp_ = 0;
+  std::vector<std::uint32_t> live_per_prefix_;
+  std::vector<std::uint32_t> visit_mark_;  // per node, == walk_epoch_
+  std::vector<std::uint32_t> visit_index_;
+  std::uint32_t walk_epoch_ = 0;
+  std::vector<std::uint32_t> due_;  // scratch: flights ending this instant
 
   std::uint64_t next_seq_ = 0;
   std::uint64_t next_packet_id_ = 1;
   std::size_t in_flight_ = 0;
-  Counters counters_;
+  mutable Counters counters_;
 
   bool bridge_armed_ = false;
   sim::SimTime bridge_time_;

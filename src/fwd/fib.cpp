@@ -69,6 +69,7 @@ void Fib::restore_state(snap::Reader& r) {
 
 void Fib::notify(net::Prefix prefix, std::optional<net::NodeId> previous,
                  std::optional<net::NodeId> current) const {
+  if (listener_ != nullptr) listener_->on_route_change(listener_node_, prefix);
   for (const auto& observer : observers_) {
     if (observer) observer(prefix, previous, current);
   }

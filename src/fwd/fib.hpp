@@ -13,6 +13,17 @@
 
 namespace bgpsim::fwd {
 
+/// The data plane's feed of route changes: told the owning node and the
+/// prefix of every change to the FIBs it listens to. Kept apart from the
+/// observers, which set_observer replaces wholesale.
+class FibListener {
+ public:
+  virtual void on_route_change(net::NodeId node, net::Prefix prefix) = 0;
+
+ protected:
+  ~FibListener() = default;
+};
+
 /// One node's next-hop table, written by the routing protocol and read by
 /// the data plane on every packet hop.
 ///
@@ -51,6 +62,13 @@ class Fib {
   /// Subscribe in addition to the observers already installed.
   void add_observer(Observer obs) { observers_.push_back(std::move(obs)); }
 
+  /// Attach the (non-owning) change listener, naming this FIB's node; null
+  /// detaches. One listener per FIB.
+  void set_listener(FibListener* listener, net::NodeId node) {
+    listener_ = listener;
+    listener_node_ = node;
+  }
+
   /// Checkpoint the route table (sorted by prefix for determinism).
   void save_state(snap::Writer& w) const;
 
@@ -68,6 +86,8 @@ class Fib {
 
   std::unordered_map<net::Prefix, net::NodeId> routes_;
   std::vector<Observer> observers_;
+  FibListener* listener_ = nullptr;
+  net::NodeId listener_node_ = net::kInvalidNode;
   /// Starts above 0 so a zero-initialized cache stamp can never validate.
   std::uint64_t version_ = 1;
   /// One-entry lookup cache. The data plane asks for the same (single)

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -39,13 +40,25 @@ void Simulator::arm_external(SimTime when) {
   ext_armed_ = true;
 }
 
+void Simulator::advance_external(SimTime when, std::uint64_t n) {
+  if (when < now_ || when >= ext_horizon_) {
+    throw std::logic_error{
+        "Simulator::advance_external: outside the handler's horizon"};
+  }
+  now_ = when;
+  fired_ += n;
+  queue_.take_seqs(n);
+}
+
 std::uint64_t Simulator::run_until(SimTime limit) {
+  // Batched external firings may run up to and including `limit`.
+  const SimTime past_limit =
+      limit.is_infinite() ? limit : limit + SimTime::micros(1);
   std::uint64_t n = 0;
   for (;;) {
     if (queue_.empty()) {
       if (!ext_armed_ || ext_time_ > limit) break;
-      fire_external();
-      ++n;
+      n += fire_external(past_limit);
       continue;
     }
     // One front observation per iteration: the merge against the external
@@ -57,8 +70,7 @@ std::uint64_t Simulator::run_until(SimTime limit) {
     if (ext_armed_ && (ext_time_ < front_time ||
                        (ext_time_ == front_time && ext_seq_ < front.seq))) {
       if (ext_time_ > limit) break;
-      fire_external();
-      ++n;
+      n += fire_external(std::min(front_time, past_limit));
       continue;
     }
     if (front_time > limit) break;
@@ -97,7 +109,7 @@ void Simulator::consume_coincident(EventId id) {
 bool Simulator::step() {
   const bool has_queue = !queue_.empty();
   if (ext_armed_ && (!has_queue || external_first())) {
-    fire_external();
+    fire_external(ext_time_);  // one event: no batched firings
     return true;
   }
   if (!has_queue) return false;

@@ -110,6 +110,20 @@ class Simulator {
   /// cancel-and-reschedule through the queue would produce.
   void arm_external(SimTime when);
 
+  /// Batched firing. While its handler runs, the slot's owner may stand in
+  /// for further firings of its own that would come before every queued
+  /// event: any due strictly before external_horizon() (the queue's
+  /// earliest time, or just past the run_until limit; a step() allows
+  /// none). Each such firing would have been armed by the one before it,
+  /// so advance_external(when, n) accounts n of them exactly as n handler
+  /// round trips would: the clock moves to `when` (>= now(), < horizon),
+  /// events_fired grows by n, and n tie-break seqs are consumed.
+  [[nodiscard]] SimTime external_horizon() const { return ext_horizon_; }
+  void advance_external(SimTime when, std::uint64_t n);
+
+  /// Time the slot is (or was last) armed for.
+  [[nodiscard]] SimTime external_time() const { return ext_time_; }
+
   /// Disarm without firing. No-op if not armed.
   void disarm_external() { ext_armed_ = false; }
 
@@ -164,11 +178,16 @@ class Simulator {
     return ext_seq_ < queue_.next_event_seq();
   }
 
-  void fire_external() {
+  /// Fire the slot; returns the events it accounted (1 plus any batched
+  /// firings the handler reported through advance_external).
+  std::uint64_t fire_external(SimTime horizon) {
     ext_armed_ = false;
     now_ = ext_time_;
-    ++fired_;
+    ext_horizon_ = horizon;
+    const std::uint64_t before = fired_++;
     ext_handler_();
+    ext_horizon_ = SimTime::zero();
+    return fired_ - before;
   }
 
   EventQueue queue_;
@@ -177,6 +196,7 @@ class Simulator {
   Callback ext_handler_;
   SimTime ext_time_ = SimTime::zero();
   std::uint64_t ext_seq_ = 0;
+  SimTime ext_horizon_ = SimTime::zero();  // valid while the handler runs
   bool ext_armed_ = false;
 };
 

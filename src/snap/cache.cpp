@@ -39,6 +39,14 @@ void PreludeCache::insert(std::uint64_t key,
   evict_to_capacity_locked();
 }
 
+void PreludeCache::evict(std::uint64_t key, const Snapshot* snapshot) {
+  std::lock_guard lock{mu_};
+  const auto it = entries_.find(key);
+  if (it == entries_.end() || it->second.first.get() != snapshot) return;
+  order_.erase(it->second.second);
+  entries_.erase(it);
+}
+
 bool PreludeCache::enabled() const {
   std::lock_guard lock{mu_};
   return capacity_ > 0;

@@ -32,6 +32,10 @@ class PreludeCache {
   /// Evicts the oldest entry when full. No-op while disabled.
   void insert(std::uint64_t key, std::shared_ptr<const Snapshot> snapshot);
 
+  /// Drop `key`'s entry if it still holds `snapshot` (an entry a concurrent
+  /// trial already replaced stays).
+  void evict(std::uint64_t key, const Snapshot* snapshot);
+
   [[nodiscard]] bool enabled() const;
   [[nodiscard]] std::size_t capacity() const;
   [[nodiscard]] std::size_t size() const;

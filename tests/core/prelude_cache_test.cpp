@@ -7,11 +7,15 @@
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <memory>
 #include <string>
 #include <utility>
 #include <unistd.h>
 
+#include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "snap/cache.hpp"
+#include "snap/snapshot.hpp"
 #include "svc/protocol.hpp"
 
 namespace bgpsim::core {
@@ -98,6 +102,45 @@ TEST_F(PreludeCacheRelFileTest, FlippedEdgeOrientationMissesTheCache) {
   const std::uint64_t cold = run(false);
   ASSERT_NE(before, cold) << "the edit must change the routing outcome";
   EXPECT_EQ(run(true), cold);
+}
+
+TEST(PreludeCacheStaleEntryTest, MismatchedSnapshotIsEvictedAndReplaced) {
+  // A cache hit whose snapshot belongs to another scenario (planted here:
+  // another seed's converged prelude under this trial's key) must cost a
+  // cold run, never the trial.
+  snap::PreludeCache& cache = snap::PreludeCache::instance();
+  const std::size_t capacity = cache.capacity();
+  cache.set_capacity(snap::PreludeCache::kDefaultCapacity);
+  cache.clear();
+  Scenario s;
+  s.topology.kind = TopologyKind::kClique;
+  s.topology.size = 5;
+  s.event = EventKind::kTdown;
+  s.seed = 11;
+  Scenario other = s;
+  other.seed = 12;
+  snap::Snapshot planted;
+  other.save_converged = &planted;
+  (void)run_experiment(other);
+  const std::uint64_t key = prelude_cache_key(s);
+  cache.insert(key, std::make_shared<const snap::Snapshot>(std::move(planted)));
+
+  const auto digest = [&s](bool snap_cache) {
+    return svc::trialset_digest(run_trials(
+        s, RunOptions{.trials = 1, .jobs = 1, .snap_cache = snap_cache}));
+  };
+  const std::uint64_t cold = digest(false);
+  std::uint64_t warm = 0;
+  ASSERT_NO_THROW(warm = digest(true));
+  EXPECT_EQ(warm, cold);
+  // The cold run's own prelude replaced the planted entry and serves the
+  // next trial.
+  const std::shared_ptr<const snap::Snapshot> entry = cache.find(key);
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->meta().seed, s.seed);
+  EXPECT_EQ(digest(true), cold);
+  cache.clear();
+  cache.set_capacity(capacity);
 }
 
 }  // namespace

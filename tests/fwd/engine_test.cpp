@@ -32,9 +32,9 @@ class FateRecorder final : public FateSink {
   std::vector<Fate> fates;
 };
 
-/// Every test runs under both hop-store backends: the per-tick rings the
-/// engine uses and the heap reference, which the fixture selects by
-/// passing it explicitly.
+/// Every test runs under both backends: the fast-forward engine and the
+/// per-tick ring reference, which the fixture selects by passing it
+/// explicitly.
 class DataPlaneTest : public ::testing::TestWithParam<PlaneBackend> {
  protected:
   explicit DataPlaneTest(net::Topology topo = topo::make_chain(4))
@@ -194,9 +194,9 @@ TEST_P(DataPlaneTest, PacketIdsAreUnique) {
 
 INSTANTIATE_TEST_SUITE_P(
     Backends, DataPlaneTest,
-    ::testing::Values(PlaneBackend::kHeap, PlaneBackend::kRings),
+    ::testing::Values(PlaneBackend::kRings, PlaneBackend::kFastForward),
     [](const ::testing::TestParamInfo<PlaneBackend>& info) {
-      return info.param == PlaneBackend::kHeap ? "heap" : "rings";
+      return info.param == PlaneBackend::kRings ? "rings" : "fastforward";
     });
 
 }  // namespace
