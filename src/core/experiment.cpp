@@ -14,59 +14,20 @@
 #include "bgp/path_store.hpp"
 #include "check/oracle.hpp"
 #include "core/run_options.hpp"
-#include "core/snap_support.hpp"
+#include "core/run_skeleton.hpp"
+#include "core/selection.hpp"
 #include "fwd/engine.hpp"
 #include "fwd/traffic.hpp"
 #include "metrics/collector.hpp"
 #include "metrics/loop_detector.hpp"
-#include "core/selection.hpp"
 #include "net/relationships.hpp"
 #include "sim/random.hpp"
 #include "sim/scheduler.hpp"
 #include "snap/snapshot.hpp"
-#include "topo/generators.hpp"
-#include "topo/internet.hpp"
 
 namespace bgpsim::core {
-namespace {
 
-constexpr net::Prefix kPrefix = 0;
-
-/// Capture the complete BGP run state into a snapshot with full identity
-/// metadata. `quiescent` must only be true when the event queue is empty.
-snap::Snapshot capture_bgp(const sim::Simulator& simulator,
-                           const bgp::BgpNetwork& network,
-                           const fwd::DataPlane& plane,
-                           const fwd::TrafficGenerator& traffic,
-                           const metrics::Collector& collector,
-                           std::uint64_t topology_hash,
-                           std::uint64_t config_hash, std::uint64_t seed,
-                           net::NodeId destination, bool originated,
-                           bool quiescent) {
-  snap::Writer w;
-  detail::save_run_state(w, simulator, network, plane, traffic, collector);
-  snap::SnapshotMeta meta;
-  meta.driver = snap::DriverKind::kBgp;
-  meta.topology_hash = topology_hash;
-  meta.config_hash = config_hash;
-  meta.seed = seed;
-  meta.destination = destination;
-  meta.originated = originated;
-  meta.quiescent = quiescent;
-  meta.sim_time = simulator.now();
-  return snap::Snapshot{std::move(meta), std::move(w).take()};
-}
-
-void restore_bgp(const snap::Snapshot& snapshot, sim::Simulator& simulator,
-                 bgp::BgpNetwork& network, fwd::DataPlane& plane,
-                 fwd::TrafficGenerator& traffic,
-                 metrics::Collector& collector) {
-  snap::Reader r{snapshot.payload()};
-  detail::restore_run_state(r, simulator, network, plane, traffic, collector);
-  r.finish();
-}
-
-}  // namespace
+using detail::kPrefix;
 
 std::uint64_t scenario_prelude_hash(const Scenario& scenario) {
   snap::Hasher h;
@@ -80,14 +41,11 @@ std::uint64_t scenario_prelude_hash(const Scenario& scenario) {
     // file hashes as empty; building its topology throws before any
     // prelude is cached.
     std::ifstream in{scenario.topology.rel_file, std::ios::binary};
-    std::ostringstream bytes;
-    bytes << in.rdbuf();
-    std::uint64_t content_hash = 1469598103934665603ULL;  // FNV-1a
-    for (const unsigned char c : std::move(bytes).str()) {
-      content_hash ^= c;
-      content_hash *= 1099511628211ULL;
-    }
-    h.mix(content_hash);
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    const std::string bytes = std::move(buffer).str();
+    h.mix(snap::fnv1a({reinterpret_cast<const std::uint8_t*>(bytes.data()),
+                       bytes.size()}));
   }
   h.mix(scenario.policy_routing ? 1 : 0);
   h.mix_time(scenario.bgp.mrai);
@@ -157,20 +115,9 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   } else {
     topo = scenario.topology.build();
   }
-  sim::Rng root{scenario.seed};
-  sim::Rng scenario_rng = root.child("scenario");
-
-  const net::NodeId destination =
-      choose_destination(scenario.topology.kind, scenario.event,
-                         scenario.destination, topo, scenario_rng);
-  std::optional<net::LinkId> failed_link;
-  if (scenario.event == EventKind::kTlong ||
-      scenario.event == EventKind::kFlap) {
-    failed_link =
-        choose_tlong_link(scenario.topology.kind, scenario.topology.size,
-                          scenario.tlong_link, topo, destination,
-                          scenario_rng);
-  }
+  const sim::Rng root{scenario.seed};
+  const Targets targets = choose_targets(scenario, topo, root);
+  const net::NodeId destination = targets.destination;
 
   // ---- Multi-prefix table ----------------------------------------------
   // prefix 0 always originates at the destination; prefixes >= 1 cycle
@@ -269,12 +216,10 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   }
   network.set_hooks(hooks);
 
-  fwd::DataPlaneOptions plane_options =
+  fwd::DataPlane plane{
+      simulator, topo, network.fibs(),
       multi ? fwd::DataPlaneOptions{.destinations = prefix_origins}
-            : fwd::DataPlaneOptions::single(destination);
-  fwd::DataPlane plane{simulator, topo, network.fibs(),
-                       std::move(plane_options)};
-  plane.set_fate_sink(&collector);
+            : fwd::DataPlaneOptions::single(destination)};
 
   // One loop detector per prefix: detector 0 attaches first (replacing any
   // stale FIB observers), the rest subscribe alongside it.
@@ -282,13 +227,11 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   detectors.push_back(
       std::make_unique<metrics::LoopDetector>(topo.node_count()));
   detectors.front()->attach(simulator, network.fibs(), kPrefix);
-  if (multi) {
-    for (std::size_t p = 1; p < prefix_count; ++p) {
-      detectors.push_back(
-          std::make_unique<metrics::LoopDetector>(topo.node_count()));
-      detectors.back()->attach_alongside(simulator, network.fibs(),
-                                         static_cast<net::Prefix>(p));
-    }
+  for (std::size_t p = 1; p < prefix_count; ++p) {
+    detectors.push_back(
+        std::make_unique<metrics::LoopDetector>(topo.node_count()));
+    detectors.back()->attach_alongside(simulator, network.fibs(),
+                                       static_cast<net::Prefix>(p));
   }
   metrics::LoopDetector& detector = *detectors.front();
   // After attach: the detectors replace/extend the FIB observers, the
@@ -314,39 +257,16 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   if (multi) traffic_config.prefix_count = prefix_count;
   fwd::TrafficGenerator traffic{simulator, plane, traffic_config,
                                 root.child("traffic")};
-  traffic.set_send_hook([&](net::NodeId, net::Prefix p, sim::SimTime when) {
-    collector.note_packet_sent(when);
-    collector.note_packet_sent_for(p);  // no-op unless lanes are enabled
-  });
 
   // ---- Phase 1: cold-start convergence or warm start --------------------
   // (For Tup the network starts empty — the origination *is* the event.)
-  const std::uint64_t topology_hash = snap::hash_topology(topo);
-  const std::uint64_t config_hash = scenario_prelude_hash(scenario);
   const bool prelude_originated = scenario.event != EventKind::kTup;
+  detail::RunSkeleton run{scenario, snap::DriverKind::kBgp,
+                          scenario_prelude_hash(scenario), destination,
+                          simulator, topo, network, plane, traffic, collector,
+                          oracle};
 
-  if (scenario.warm_start) {
-    detail::require_meta_match(scenario.warm_start->meta(),
-                               snap::DriverKind::kBgp, topology_hash,
-                               config_hash, scenario.seed, destination,
-                               prelude_originated);
-    restore_bgp(*scenario.warm_start, simulator, network, plane, traffic,
-                collector);
-    // Prove the restore bit-exact: re-serializing the restored graph must
-    // reproduce the snapshot's content hash.
-    const snap::Snapshot echo =
-        capture_bgp(simulator, network, plane, traffic, collector,
-                    topology_hash, config_hash, scenario.seed, destination,
-                    prelude_originated, /*quiescent=*/true);
-    if (oracle) {
-      oracle->on_restored(scenario.warm_start->content_hash(),
-                          echo.content_hash(), simulator.now());
-    } else if (echo.content_hash() != scenario.warm_start->content_hash()) {
-      throw std::runtime_error{
-          "warm start restore is not bit-exact: restored state "
-          "re-serializes to a different content hash"};
-    }
-  } else {
+  if (!run.warm_start()) {
     if (multi) {
       // Non-destination origins always converge in the prelude (they are
       // background table state); the destination's own prefixes join
@@ -368,12 +288,7 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   }
   const double initial_convergence_s = simulator.now().as_seconds();
 
-  if (scenario.save_converged) {
-    *scenario.save_converged =
-        capture_bgp(simulator, network, plane, traffic, collector,
-                    topology_hash, config_hash, scenario.seed, destination,
-                    prelude_originated, /*quiescent=*/true);
-  }
+  run.save_converged();
 
   const auto quiescent_view = [&]() -> check::QuiescentView {
     check::QuiescentView view;
@@ -400,14 +315,7 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
   if (oracle) oracle->at_quiescence(quiescent_view(), simulator.now());
 
   // ---- Phase 2: traffic + event + convergence -------------------------
-  const sim::SimTime t_event = simulator.now() + scenario.settle_margin;
-  const sim::SimTime t_traffic = t_event - scenario.traffic_lead;
-
-  std::vector<net::NodeId> sources;
-  for (net::NodeId n = 0; n < topo.node_count(); ++n) {
-    if (n != destination) sources.push_back(n);
-  }
-  traffic.start(sources, t_traffic);
+  const sim::SimTime t_event = run.start_traffic();
 
   simulator.schedule_at(t_event, [&] {
     // Measure only post-event loops, on every prefix's detector.
@@ -429,7 +337,7 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
         }
         break;
       case EventKind::kTlong:
-        network.inject_link_failure(*failed_link);
+        network.inject_link_failure(*targets.failed_link);
         break;
       case EventKind::kTup:
         if (multi) {
@@ -439,143 +347,36 @@ ExperimentOutcome run_experiment(const Scenario& scenario) {
         }
         break;
       case EventKind::kFlap:
-        network.inject_link_failure(*failed_link);
+        network.inject_link_failure(*targets.failed_link);
         simulator.schedule_after(scenario.flap_interval, [&] {
-          network.transport().restore_link(*failed_link);
+          network.transport().restore_link(*targets.failed_link);
         });
         break;
     }
   });
 
-  // Mid-run serialize/deserialize probe. kNoop and kVerify schedule the
-  // *same* event (so their event streams stay comparable); only kVerify
-  // does work in it: save, restore in place, re-save, and fail the run if
-  // the two byte streams differ. A correct codec makes this a perfect
-  // no-op — the rest of the run is bit-identical to the kNoop control.
-  if (scenario.snap_roundtrip != SnapRoundtrip::kOff) {
-    simulator.schedule_at(t_event + scenario.snap_roundtrip_after, [&] {
-      if (scenario.snap_roundtrip != SnapRoundtrip::kVerify) return;
-      const snap::Snapshot before =
-          capture_bgp(simulator, network, plane, traffic, collector,
-                      topology_hash, config_hash, scenario.seed, destination,
-                      prelude_originated, /*quiescent=*/false);
-      restore_bgp(before, simulator, network, plane, traffic, collector);
-      const snap::Snapshot after =
-          capture_bgp(simulator, network, plane, traffic, collector,
-                      topology_hash, config_hash, scenario.seed, destination,
-                      prelude_originated, /*quiescent=*/false);
-      if (before.content_hash() != after.content_hash()) {
-        if (oracle) {
-          oracle->on_restored(before.content_hash(), after.content_hash(),
-                              simulator.now());
-        }
-        throw std::runtime_error{
-            "snapshot round-trip diverged mid-run: in-place restore did "
-            "not reproduce the saved state byte-for-byte"};
-      }
-    });
-  }
-
-  // Poll for control-plane quiescence once per simulated second. When the
-  // control plane settles, stop traffic, let in-flight packets die out
-  // (TTL lifetime is 256 ms), then cancel leftover silent timers. For a
+  // Poll for control-plane quiescence once per simulated second. For a
   // flap, polling must not begin until the restore has fired: the network
-  // can quiesce mid-flap, and clear_pending would cancel the restore.
-  bool timed_out = false;
-  const auto drain = sim::SimTime::seconds(2);
-  std::function<void()> poll = [&] {
-    if (!network.busy()) {
-      traffic.stop();
-      simulator.schedule_after(drain, [&] { simulator.clear_pending(); });
-      return;
-    }
-    if (simulator.now() >= scenario.max_sim_time) {
-      timed_out = true;
-      simulator.clear_pending();
-      return;
-    }
-    simulator.schedule_after(sim::SimTime::seconds(1), poll);
-  };
-  sim::SimTime poll_start = t_event + sim::SimTime::seconds(1);
-  if (scenario.event == EventKind::kFlap) poll_start += scenario.flap_interval;
-  simulator.schedule_at(poll_start, poll);
-
-  simulator.run_until(scenario.max_sim_time + sim::SimTime::seconds(10));
-  if (timed_out || simulator.pending() > 0) {
-    throw std::runtime_error{"scenario did not converge within max_sim_time"};
-  }
-
-  const sim::SimTime end = simulator.now();
+  // can quiesce mid-flap, and clearing the pending events would cancel
+  // the restore.
+  sim::SimTime first_poll = t_event + sim::SimTime::seconds(1);
+  if (scenario.event == EventKind::kFlap) first_poll += scenario.flap_interval;
+  const sim::SimTime end = run.run_to_quiescence(
+      [&network] { return !network.busy(); }, first_poll,
+      sim::SimTime::seconds(1));
   for (auto& d : detectors) d->finalize(end);
   if (oracle) oracle->at_quiescence(quiescent_view(), end);
 
   // ---- Metrics ---------------------------------------------------------
-  ExperimentOutcome out;
-  out.destination = destination;
-  out.failed_link = failed_link;
-  out.initial_convergence_s = initial_convergence_s;
-  out.events_fired = simulator.events_fired();
-  out.plane_hops = plane.counters().hops;
-  out.plane_segments = plane.counters().segments;
-
+  // Headline loop metrics aggregate the whole table, prefix-major.
+  std::vector<metrics::LoopRecord> loops;
+  for (const auto& d : detectors) {
+    loops.insert(loops.end(), d->records().begin(), d->records().end());
+  }
+  ExperimentOutcome out = run.measure(targets.failed_link,
+                                      initial_convergence_s, std::move(loops));
   metrics::RunMetrics& m = out.metrics;
-  m.event_at = t_event;
-
-  const auto last_update = collector.last_update_at(t_event);
-  m.last_update_at = last_update.value_or(t_event);
-  m.convergence_time_s = (m.last_update_at - t_event).as_seconds();
-
-  const auto first_exh = collector.first_exhaustion(t_event);
-  const auto last_exh = collector.last_exhaustion(t_event);
-  m.first_exhaustion_at = first_exh.value_or(t_event);
-  m.last_exhaustion_at = last_exh.value_or(t_event);
-  m.looping_duration_s =
-      first_exh ? (m.last_exhaustion_at - m.first_exhaustion_at).as_seconds()
-                : 0.0;
-
-  m.ttl_exhaustions = collector.exhaustions_since(t_event);
-  m.packets_sent_during_convergence =
-      collector.packets_sent_in(t_event, m.last_update_at);
-  m.looping_ratio =
-      m.packets_sent_during_convergence == 0
-          ? 0.0
-          : static_cast<double>(m.ttl_exhaustions) /
-                static_cast<double>(m.packets_sent_during_convergence);
-
-  m.packets_sent_total = collector.packets_sent_total();
-  m.packets_delivered = collector.delivered_total();
-  m.packets_no_route = collector.no_route_total();
-  m.packets_link_down = collector.link_down_total();
-  m.updates_sent = collector.updates_sent_since(t_event);
-  m.updates_sent_total = collector.updates_sent_total();
   m.bgp = network.total_counters();
-
-  const auto profile_end = m.last_update_at + sim::SimTime::seconds(1);
-  m.update_activity_1s =
-      collector.update_activity(t_event, profile_end, sim::SimTime::seconds(1));
-  m.exhaustion_activity_1s = collector.exhaustion_activity(
-      t_event, profile_end, sim::SimTime::seconds(1));
-
-  m.loops = detector.records();
-  if (multi) {
-    // Headline loop metrics aggregate the whole table, prefix-major.
-    for (std::size_t p = 1; p < prefix_count; ++p) {
-      const auto& recs = detectors[p]->records();
-      m.loops.insert(m.loops.end(), recs.begin(), recs.end());
-    }
-  }
-  m.loops_formed = m.loops.size();
-  m.loop_stats = metrics::analyze_loops(m.loops, end);
-  if (!m.loops.empty()) {
-    double size_sum = 0;
-    for (const auto& loop : m.loops) {
-      size_sum += static_cast<double>(loop.size());
-      m.max_loop_size = std::max(m.max_loop_size, loop.size());
-      m.max_loop_duration_s =
-          std::max(m.max_loop_duration_s, loop.duration_seconds(end));
-    }
-    m.mean_loop_size = size_sum / static_cast<double>(m.loops.size());
-  }
   if (multi) {
     m.per_prefix.resize(prefix_count);
     const auto& lanes = collector.prefix_lanes();

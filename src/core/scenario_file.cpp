@@ -1,15 +1,29 @@
 #include "core/scenario_file.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 namespace bgpsim::core {
 namespace {
+
+/// The file's name for each topology kind, for the parser and the
+/// formatter alike.
+using TopologyName = std::pair<std::string_view, TopologyKind>;
+constexpr TopologyName kTopologies[] = {
+    {"clique", TopologyKind::kClique},     {"bclique", TopologyKind::kBClique},
+    {"chain", TopologyKind::kChain},       {"ring", TopologyKind::kRing},
+    {"internet", TopologyKind::kInternet}, {"asgraph", TopologyKind::kAsGraph},
+    {"relfile", TopologyKind::kRelFile},
+};
 
 std::string trimmed(const std::string& raw) {
   const auto begin = raw.find_first_not_of(" \t\r");
@@ -49,6 +63,13 @@ std::uint64_t to_u64(const std::string& key, const std::string& value) {
   }
 }
 
+/// Write `key = v`, with `v` in the shortest text that parses back to it.
+void put(std::ostream& out, const char* key, double v) {
+  std::array<char, 32> buf{};
+  const char* end = std::to_chars(buf.data(), buf.data() + buf.size(), v).ptr;
+  out << key << " = " << std::string_view(buf.data(), end) << "\n";
+}
+
 bool to_bool(const std::string& key, const std::string& value) {
   if (value == "true" || value == "1" || value == "yes") return true;
   if (value == "false" || value == "0" || value == "no") return false;
@@ -60,14 +81,10 @@ bool to_bool(const std::string& key, const std::string& value) {
 void apply_scenario_key(Scenario& s, const std::string& key,
                         const std::string& value) {
   if (key == "topology") {
-    if (value == "clique") s.topology.kind = TopologyKind::kClique;
-    else if (value == "bclique") s.topology.kind = TopologyKind::kBClique;
-    else if (value == "chain") s.topology.kind = TopologyKind::kChain;
-    else if (value == "ring") s.topology.kind = TopologyKind::kRing;
-    else if (value == "internet") s.topology.kind = TopologyKind::kInternet;
-    else if (value == "asgraph") s.topology.kind = TopologyKind::kAsGraph;
-    else if (value == "relfile") s.topology.kind = TopologyKind::kRelFile;
-    else bad("unknown topology: " + value);
+    const auto* named =
+        std::ranges::find(kTopologies, value, &TopologyName::first);
+    if (named == std::end(kTopologies)) bad("unknown topology: " + value);
+    s.topology.kind = named->second;
   } else if (key == "rel_file") {
     s.topology.rel_file = value;
   } else if (key == "size") {
@@ -251,26 +268,10 @@ Scenario load_scenario_file(const std::string& path) {
 
 std::string to_scenario_text(const Scenario& s) {
   std::ostringstream out;
-  const auto topology_name = [&] {
-    switch (s.topology.kind) {
-      case TopologyKind::kClique:
-        return "clique";
-      case TopologyKind::kBClique:
-        return "bclique";
-      case TopologyKind::kChain:
-        return "chain";
-      case TopologyKind::kRing:
-        return "ring";
-      case TopologyKind::kInternet:
-        return "internet";
-      case TopologyKind::kAsGraph:
-        return "asgraph";
-      case TopologyKind::kRelFile:
-        return "relfile";
-    }
-    return "?";
-  }();
-  out << "topology = " << topology_name << "\n";
+  out << "topology = "
+      << std::ranges::find(kTopologies, s.topology.kind, &TopologyName::second)
+             ->first
+      << "\n";
   if (s.topology.kind == TopologyKind::kRelFile) {
     out << "rel_file = " << s.topology.rel_file << "\n";
   } else {
@@ -284,7 +285,7 @@ std::string to_scenario_text(const Scenario& s) {
                                           : "tup")
       << "\n";
   if (s.event == EventKind::kFlap) {
-    out << "flap_s = " << s.flap_interval.as_seconds() << "\n";
+    put(out, "flap_s", s.flap_interval.as_seconds());
   }
   out << "protocol = "
       << (s.bgp.ssld ? "ssld"
@@ -294,18 +295,18 @@ std::string to_scenario_text(const Scenario& s) {
                                          : s.bgp.ghost_flushing ? "ghost"
                                                                 : "bgp")
       << "\n";
-  out << "mrai = " << s.bgp.mrai.as_seconds() << "\n";
-  out << "jitter_lo = " << s.bgp.jitter_lo << "\n";
-  out << "jitter_hi = " << s.bgp.jitter_hi << "\n";
+  put(out, "mrai", s.bgp.mrai.as_seconds());
+  put(out, "jitter_lo", s.bgp.jitter_lo);
+  put(out, "jitter_hi", s.bgp.jitter_hi);
   out << "seed = " << s.seed << "\n";
   out << "policy = " << (s.policy_routing ? "true" : "false") << "\n";
   if (s.destination) out << "destination = " << *s.destination << "\n";
   if (s.tlong_link) out << "tlong_link = " << *s.tlong_link << "\n";
-  out << "processing_min_ms = " << s.processing.min.as_millis() << "\n";
-  out << "processing_max_ms = " << s.processing.max.as_millis() << "\n";
-  out << "traffic_pps = " << 1.0 / s.traffic.interval.as_seconds() << "\n";
+  put(out, "processing_min_ms", s.processing.min.as_millis());
+  put(out, "processing_max_ms", s.processing.max.as_millis());
+  put(out, "traffic_pps", 1.0 / s.traffic.interval.as_seconds());
   out << "ttl = " << s.traffic.ttl << "\n";
-  out << "caution = " << s.bgp.backup_caution.as_seconds() << "\n";
+  put(out, "caution", s.bgp.backup_caution.as_seconds());
   // Emitted only for multi-prefix scenarios so single-prefix round-trip
   // text (and everything hashed from it) is byte-identical to before.
   if (s.prefixes > 1) {

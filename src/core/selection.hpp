@@ -1,5 +1,5 @@
 // Destination / failed-link selection shared by the experiment drivers
-// (path-vector and the distance-vector baseline).
+// (path vector and the distance-vector and link-state baselines).
 #pragma once
 
 #include <optional>
@@ -31,5 +31,28 @@ namespace bgpsim::core {
                                             net::Topology& topo,
                                             net::NodeId destination,
                                             sim::Rng& rng);
+
+/// What a run breaks: the destination AS and, for Tlong and Flap, the
+/// link that fails.
+struct Targets {
+  net::NodeId destination = net::kInvalidNode;
+  std::optional<net::LinkId> failed_link;
+};
+
+/// choose_destination, then choose_tlong_link for a link event, both on
+/// the run's "scenario" stream of `root`. `S` is any scenario type.
+template <typename S>
+[[nodiscard]] Targets choose_targets(const S& s, net::Topology& topo,
+                                     const sim::Rng& root) {
+  sim::Rng rng = root.child("scenario");
+  Targets t;
+  t.destination =
+      choose_destination(s.topology.kind, s.event, s.destination, topo, rng);
+  if (s.event == EventKind::kTlong || s.event == EventKind::kFlap) {
+    t.failed_link = choose_tlong_link(s.topology.kind, s.topology.size,
+                                      s.tlong_link, topo, t.destination, rng);
+  }
+  return t;
+}
 
 }  // namespace bgpsim::core

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/experiment.hpp"
@@ -162,29 +163,39 @@ TEST(ScenarioFile, RejectsInvertedRanges) {
 }
 
 TEST(ScenarioFile, RoundTripsThroughText) {
-  Scenario original;
-  original.topology.kind = TopologyKind::kInternet;
-  original.topology.size = 48;
-  original.topology.topo_seed = 11;
-  original.event = EventKind::kTlong;
-  original.bgp = original.bgp.with(bgp::Enhancement::kWrate);
-  original.bgp.mrai = sim::SimTime::seconds(12);
-  original.bgp.backup_caution = sim::SimTime::seconds(3);
-  original.policy_routing = true;
-  original.seed = 21;
-  original.destination = 40;
+  Scenario whole;
+  whole.topology.kind = TopologyKind::kInternet;
+  whole.topology.size = 48;
+  whole.topology.topo_seed = 11;
+  whole.event = EventKind::kTlong;
+  whole.bgp = whole.bgp.with(bgp::Enhancement::kWrate);
+  whole.bgp.mrai = sim::SimTime::seconds(12);
+  whole.bgp.backup_caution = sim::SimTime::seconds(3);
+  whole.policy_routing = true;
+  whole.seed = 21;
+  whole.destination = 40;
+  // Values that need more than six significant digits to survive.
+  Scenario precise = whole;
+  precise.bgp.mrai = sim::SimTime::micros(12'345'678);
+  precise.bgp.jitter_lo = 0.7512345;
 
-  const auto restored = parse_scenario_string(to_scenario_text(original));
-  EXPECT_EQ(restored.topology.kind, original.topology.kind);
-  EXPECT_EQ(restored.topology.size, original.topology.size);
-  EXPECT_EQ(restored.topology.topo_seed, original.topology.topo_seed);
-  EXPECT_EQ(restored.event, original.event);
-  EXPECT_TRUE(restored.bgp.wrate);
-  EXPECT_EQ(restored.bgp.mrai, original.bgp.mrai);
-  EXPECT_EQ(restored.bgp.backup_caution, original.bgp.backup_caution);
-  EXPECT_EQ(restored.policy_routing, original.policy_routing);
-  EXPECT_EQ(restored.seed, original.seed);
-  EXPECT_EQ(restored.destination, original.destination);
+  for (const Scenario& original : {whole, precise}) {
+    const std::string text = to_scenario_text(original);
+    SCOPED_TRACE(text);
+    const auto restored = parse_scenario_string(text);
+    EXPECT_EQ(restored.topology.kind, original.topology.kind);
+    EXPECT_EQ(restored.topology.size, original.topology.size);
+    EXPECT_EQ(restored.topology.topo_seed, original.topology.topo_seed);
+    EXPECT_EQ(restored.event, original.event);
+    EXPECT_TRUE(restored.bgp.wrate);
+    EXPECT_EQ(restored.bgp.mrai, original.bgp.mrai);
+    EXPECT_EQ(restored.bgp.jitter_lo, original.bgp.jitter_lo);
+    EXPECT_EQ(restored.bgp.jitter_hi, original.bgp.jitter_hi);
+    EXPECT_EQ(restored.bgp.backup_caution, original.bgp.backup_caution);
+    EXPECT_EQ(restored.policy_routing, original.policy_routing);
+    EXPECT_EQ(restored.seed, original.seed);
+    EXPECT_EQ(restored.destination, original.destination);
+  }
 }
 
 TEST(ScenarioFile, AsGraphRoundTripsThroughText) {

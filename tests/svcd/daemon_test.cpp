@@ -248,9 +248,11 @@ TEST(SvcdDaemonTest, AttemptCapAbandonsUnitWithPreciseFailure) {
   // Satellite regression: a unit whose every attempt dies (here: a lease
   // far shorter than the unit's runtime kills each holder in turn) is
   // abandoned after max_attempts with a precise per-unit failure record —
-  // not retried forever, not reported as a bare worker loss.
+  // not retried forever, not reported as a bare worker loss. Clique-20
+  // keeps the two-trial unit several times longer than the 20 ms lease
+  // (about 0.14 s on a 4-core host; clique-12 runs close to 20 ms).
   svc::CampaignSpec spec;
-  spec.scenarios = {clique(12)};
+  spec.scenarios = {clique(20)};
   spec.run.trials = 2;
   spec.unit_trials = 2;  // one unit holding both trials
 
