@@ -76,6 +76,16 @@ struct BgpConfig {
   /// code paths, keeping those digests bit-identical.
   bool multiprefix = false;
 
+  /// The enhancement this config runs: the first flag set, in the paper's
+  /// order, or kStandard.
+  [[nodiscard]] Enhancement enhancement() const {
+    if (ssld) return Enhancement::kSsld;
+    if (wrate) return Enhancement::kWrate;
+    if (assertion) return Enhancement::kAssertion;
+    if (ghost_flushing) return Enhancement::kGhostFlushing;
+    return Enhancement::kStandard;
+  }
+
   /// Returns a copy configured for exactly one enhancement.
   [[nodiscard]] BgpConfig with(Enhancement e) const {
     BgpConfig c = *this;

@@ -6,6 +6,7 @@
 
 #include "check/oracle.hpp"
 #include "core/run_skeleton.hpp"
+#include "core/scenario_fields.hpp"
 #include "core/selection.hpp"
 #include "dv/network.hpp"
 #include "fwd/engine.hpp"
@@ -21,33 +22,18 @@ namespace bgpsim::core {
 using detail::kPrefix;
 
 std::uint64_t dv_prelude_hash(const DvScenario& scenario) {
-  snap::Hasher h;
-  h.mix(static_cast<std::uint64_t>(scenario.topology.kind));
-  h.mix(scenario.topology.size);
-  h.mix(scenario.topology.topo_seed);
-  h.mix(static_cast<std::uint64_t>(scenario.dv.infinity));
-  h.mix((scenario.dv.split_horizon ? 1U : 0U) |
-        (scenario.dv.poison_reverse ? 2U : 0U) |
-        (scenario.dv.triggered ? 4U : 0U));
-  h.mix_time(scenario.dv.triggered_delay_lo);
-  h.mix_time(scenario.dv.triggered_delay_hi);
-  h.mix_time(scenario.dv.periodic);
-  h.mix_time(scenario.processing.min);
-  h.mix_time(scenario.processing.max);
-  h.mix(scenario.destination.value_or(net::kInvalidNode));
-  h.mix(scenario.event != EventKind::kTup ? 1 : 0);
-  const bool link_filter = scenario.topology.kind == TopologyKind::kInternet &&
-                           !scenario.destination &&
-                           scenario.event == EventKind::kTlong;
-  h.mix(link_filter ? 1 : 0);
-  return h.value();
+  return prelude_hash(scenario, [&dv = scenario.dv](snap::Writer& w) {
+    w.i64(dv.infinity);
+    w.b(dv.split_horizon);
+    w.b(dv.poison_reverse);
+    w.b(dv.triggered);
+    w.time(dv.triggered_delay_lo);
+    w.time(dv.triggered_delay_hi);
+    w.time(dv.periodic);
+  });
 }
 
 ExperimentOutcome run_dv_experiment(const DvScenario& scenario) {
-  if (scenario.settle_margin <= scenario.traffic_lead) {
-    throw std::invalid_argument{
-        "DvScenario: settle_margin must exceed traffic_lead"};
-  }
   if (scenario.dv.periodic == sim::SimTime::zero() && !scenario.dv.triggered) {
     throw std::invalid_argument{
         "DvScenario: need triggered updates, periodic refresh, or both"};

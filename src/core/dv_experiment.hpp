@@ -9,25 +9,18 @@
 // the two differ by at most one triggered delay).
 #pragma once
 
-#include <optional>
-
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "dv/config.hpp"
 
 namespace bgpsim::core {
 
-struct DvScenario {
-  TopologySpec topology;
-  EventKind event = EventKind::kTdown;
-
-  dv::DvConfig dv;                  // RIP defaults: periodic 30 s, triggered
-  net::ProcessingDelay processing;  // U[0.1 s, 0.5 s] as in the study
-  fwd::TrafficConfig traffic;
-
-  std::uint64_t seed = 1;
-  std::optional<net::NodeId> destination;
-  std::optional<net::LinkId> tlong_link;
+/// The DV baseline's scenario. Its checkpoint hooks (see ScenarioBase)
+/// require triggered-only mode (dv.periodic == 0): periodic refresh keeps
+/// the event queue non-empty, so a converged-prelude snapshot cannot
+/// capture a quiescent queue otherwise.
+struct DvScenario : ScenarioBase {
+  dv::DvConfig dv;  // RIP defaults: periodic 30 s, triggered
 
   /// Optional runtime invariant oracle (see src/check/), borrowed for the
   /// run. DV speakers have no AS paths, MRAI timers, or sessions, so arm a
@@ -36,19 +29,6 @@ struct DvScenario {
   /// driver feeds it FIB changes and the quiescent views (with an empty
   /// loc_path accessor, which skips the path-shape checks).
   check::Oracle* oracle = nullptr;
-
-  sim::SimTime traffic_lead = sim::SimTime::seconds(2);
-  sim::SimTime settle_margin = sim::SimTime::seconds(5);
-  sim::SimTime max_sim_time = sim::SimTime::seconds(50000);
-
-  /// Checkpoint hooks (see Scenario for semantics). DV fresh-graph
-  /// checkpoints require triggered-only mode (dv.periodic == 0): periodic
-  /// refresh keeps the event queue non-empty, so a converged-prelude
-  /// snapshot cannot capture a quiescent queue otherwise.
-  snap::Snapshot* save_converged = nullptr;
-  const snap::Snapshot* warm_start = nullptr;
-  SnapRoundtrip snap_roundtrip = SnapRoundtrip::kOff;
-  sim::SimTime snap_roundtrip_after = sim::SimTime::seconds(5);
 };
 
 /// Run the distance-vector baseline end to end; the returned metrics use

@@ -1,12 +1,9 @@
 #include "core/experiment.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -15,6 +12,7 @@
 #include "check/oracle.hpp"
 #include "core/run_options.hpp"
 #include "core/run_skeleton.hpp"
+#include "core/scenario_fields.hpp"
 #include "core/selection.hpp"
 #include "fwd/engine.hpp"
 #include "fwd/traffic.hpp"
@@ -30,65 +28,14 @@ namespace bgpsim::core {
 using detail::kPrefix;
 
 std::uint64_t scenario_prelude_hash(const Scenario& scenario) {
-  snap::Hasher h;
-  h.mix(static_cast<std::uint64_t>(scenario.topology.kind));
-  h.mix(scenario.topology.size);
-  h.mix(scenario.topology.topo_seed);
-  if (scenario.topology.kind == TopologyKind::kRelFile) {
-    // The file's bytes, not its path, so an edited file misses the prelude
-    // cache instead of warm-starting from the old graph. Mixed only for
-    // this kind so every other prelude hash is unchanged. An unreadable
-    // file hashes as empty; building its topology throws before any
-    // prelude is cached.
-    std::ifstream in{scenario.topology.rel_file, std::ios::binary};
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string bytes = std::move(buffer).str();
-    h.mix(snap::fnv1a({reinterpret_cast<const std::uint8_t*>(bytes.data()),
-                       bytes.size()}));
-  }
-  h.mix(scenario.policy_routing ? 1 : 0);
-  h.mix_time(scenario.bgp.mrai);
-  std::uint64_t bits = 0;
-  static_assert(sizeof bits == sizeof scenario.bgp.jitter_lo);
-  std::memcpy(&bits, &scenario.bgp.jitter_lo, sizeof bits);
-  h.mix(bits);
-  std::memcpy(&bits, &scenario.bgp.jitter_hi, sizeof bits);
-  h.mix(bits);
-  h.mix((scenario.bgp.ssld ? 1U : 0U) | (scenario.bgp.wrate ? 2U : 0U) |
-        (scenario.bgp.assertion ? 4U : 0U) |
-        (scenario.bgp.ghost_flushing ? 8U : 0U));
-  h.mix_time(scenario.bgp.backup_caution);
-  h.mix_time(scenario.processing.min);
-  h.mix_time(scenario.processing.max);
-  h.mix(scenario.destination.value_or(net::kInvalidNode));
-  // Whether the prelude includes the origination (everything but Tup).
-  h.mix(scenario.event != EventKind::kTup ? 1 : 0);
-  // On generator/file topologies without a fixed destination, the
-  // destination *choice* depends on whether a survivable-link filter
-  // applies (Tlong / Flap), so those preludes are distinct even at equal
-  // seeds.
-  const bool link_filter =
-      policy_capable(scenario.topology.kind) && !scenario.destination &&
-      (scenario.event == EventKind::kTlong ||
-       scenario.event == EventKind::kFlap);
-  h.mix(link_filter ? 1 : 0);
-  if (scenario.prefixes > 1) {
-    // Mixed only for multi-prefix runs, so every pre-existing
-    // single-prefix prelude hash (and warm-start cache) is unchanged.
-    h.mix(scenario.prefixes);
-    h.mix(scenario.origins.size());
-    for (const net::NodeId o : scenario.origins) h.mix(o);
-  }
-  return h.value();
+  return prelude_hash(scenario, [&scenario](snap::Writer& w) {
+    for (const Field<Scenario>& f : bgp_fields()) {
+      if (f.phase == Phase::kPrelude) f.write_prelude(w, scenario);
+    }
+  });
 }
 
 ExperimentOutcome run_experiment(const Scenario& scenario) {
-  if (scenario.settle_margin <= scenario.traffic_lead) {
-    throw std::invalid_argument{
-        "Scenario: settle_margin must exceed traffic_lead"};
-  }
-
   // Per-experiment AS-path interning: every path this run conses —
   // including ones decoded from a warm-start snapshot — lands in one
   // store, so structurally-equal paths are pointer-equal for the run's

@@ -39,14 +39,10 @@ class WarmStartRejected : public std::invalid_argument {
 /// belongs to another scenario.
 [[nodiscard]] ExperimentOutcome run_experiment(const Scenario& scenario);
 
-/// Hash of everything that shapes the converged *prelude* of a scenario
-/// (topology, protocol config, processing delays, destination choice and
-/// whether the prefix is originated before the event). Two scenarios with
-/// equal prelude hashes and equal seeds converge to bit-identical state in
-/// phase 1, so one's converged checkpoint warm-starts the other — this is
-/// the snap::PreludeCache key ingredient. Deliberately *excludes* the
-/// traffic config (traffic has not started at the prelude checkpoint) and
-/// post-event knobs (event timing, flap interval, tlong link).
+/// The BGP driver's prelude hash (core::prelude_hash over the shared and
+/// the BGP prelude-phase rows): equal hashes and seeds converge to
+/// bit-identical phase-1 state, so one's converged checkpoint warm-starts
+/// the other. The snap::PreludeCache key ingredient.
 [[nodiscard]] std::uint64_t scenario_prelude_hash(const Scenario& scenario);
 
 }  // namespace bgpsim::core

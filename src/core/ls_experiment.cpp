@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "core/run_skeleton.hpp"
+#include "core/scenario_fields.hpp"
 #include "core/selection.hpp"
 #include "fwd/engine.hpp"
 #include "fwd/traffic.hpp"
@@ -18,28 +19,13 @@ namespace bgpsim::core {
 using detail::kPrefix;
 
 std::uint64_t ls_prelude_hash(const LsScenario& scenario) {
-  snap::Hasher h;
-  h.mix(static_cast<std::uint64_t>(scenario.topology.kind));
-  h.mix(scenario.topology.size);
-  h.mix(scenario.topology.topo_seed);
-  h.mix_time(scenario.ls.spf_delay_lo);
-  h.mix_time(scenario.ls.spf_delay_hi);
-  h.mix_time(scenario.processing.min);
-  h.mix_time(scenario.processing.max);
-  h.mix(scenario.destination.value_or(net::kInvalidNode));
-  h.mix(scenario.event != EventKind::kTup ? 1 : 0);
-  const bool link_filter = scenario.topology.kind == TopologyKind::kInternet &&
-                           !scenario.destination &&
-                           scenario.event == EventKind::kTlong;
-  h.mix(link_filter ? 1 : 0);
-  return h.value();
+  return prelude_hash(scenario, [&ls = scenario.ls](snap::Writer& w) {
+    w.time(ls.spf_delay_lo);
+    w.time(ls.spf_delay_hi);
+  });
 }
 
 ExperimentOutcome run_ls_experiment(const LsScenario& scenario) {
-  if (scenario.settle_margin <= scenario.traffic_lead) {
-    throw std::invalid_argument{
-        "LsScenario: settle_margin must exceed traffic_lead"};
-  }
   if (scenario.event == EventKind::kFlap) {
     throw std::invalid_argument{
         "LsScenario: flap event is not supported by the LS baseline"};

@@ -1,38 +1,22 @@
 // Experiment driver for the link-state baseline.
 #pragma once
 
-#include <optional>
-
 #include "core/experiment.hpp"
 #include "core/scenario.hpp"
 #include "ls/config.hpp"
 
 namespace bgpsim::core {
 
-struct LsScenario {
-  TopologySpec topology;
-  EventKind event = EventKind::kTlong;  // LS loops come from link events
+struct LsScenario : ScenarioBase {
+  /// LS loops come from link events, and IGP message processing is orders
+  /// of magnitude cheaper than BGP's 0.1-0.5 s update handling: Tlong and
+  /// 1-10 ms by default.
+  LsScenario() {
+    event = EventKind::kTlong;
+    processing = {sim::SimTime::millis(1), sim::SimTime::millis(10)};
+  }
 
   ls::LsConfig ls;
-  /// IGP message processing is orders of magnitude cheaper than BGP's
-  /// 0.1-0.5 s update handling; default 1-10 ms.
-  net::ProcessingDelay processing{sim::SimTime::millis(1),
-                                  sim::SimTime::millis(10)};
-  fwd::TrafficConfig traffic;
-
-  std::uint64_t seed = 1;
-  std::optional<net::NodeId> destination;
-  std::optional<net::LinkId> tlong_link;
-
-  sim::SimTime traffic_lead = sim::SimTime::seconds(2);
-  sim::SimTime settle_margin = sim::SimTime::seconds(5);
-  sim::SimTime max_sim_time = sim::SimTime::seconds(50000);
-
-  /// Checkpoint hooks (see Scenario for semantics).
-  snap::Snapshot* save_converged = nullptr;
-  const snap::Snapshot* warm_start = nullptr;
-  SnapRoundtrip snap_roundtrip = SnapRoundtrip::kOff;
-  sim::SimTime snap_roundtrip_after = sim::SimTime::seconds(5);
 };
 
 /// Run the link-state baseline end to end; metrics use the same

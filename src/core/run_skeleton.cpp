@@ -12,8 +12,10 @@ std::string RunSkeleton::label() const {
   return std::string{snap::to_string(meta_.driver)} + " ";
 }
 
-snap::Snapshot RunSkeleton::capture(bool quiescent) const {
+snap::Snapshot RunSkeleton::capture(bool quiescent,
+                                    std::size_t reserve) const {
   snap::Writer w;
+  w.reserve(reserve);
   save_network_(*this, w);
   if (extras_.save) extras_.save(w);
   snap::SnapshotMeta meta = meta_;
@@ -30,15 +32,16 @@ void RunSkeleton::restore(const snap::Snapshot& snapshot) {
 }
 
 bool RunSkeleton::warm_start() {
-  if (knobs_.warm_start == nullptr) return false;
-  const snap::Snapshot& snapshot = *knobs_.warm_start;
+  if (scenario_.warm_start == nullptr) return false;
+  const snap::Snapshot& snapshot = *scenario_.warm_start;
   require_meta_match(snapshot.meta(), meta_.driver, meta_.topology_hash,
                      meta_.config_hash, meta_.seed, meta_.destination,
                      meta_.originated);
   restore(snapshot);
   // Re-serializing the restored graph must reproduce the snapshot's
   // content hash.
-  const snap::Snapshot echo = capture(/*quiescent=*/true);
+  const snap::Snapshot echo =
+      capture(/*quiescent=*/true, snapshot.payload().size());
   if (oracle_) {
     oracle_->on_restored(snapshot.content_hash(), echo.content_hash(),
                          simulator_.now());
@@ -52,21 +55,21 @@ bool RunSkeleton::warm_start() {
 }
 
 void RunSkeleton::save_converged() const {
-  if (knobs_.save_converged == nullptr) return;
+  if (scenario_.save_converged == nullptr) return;
   if (simulator_.pending() > 0) {
     throw std::runtime_error{
         label() + "save_converged: event queue not empty at stability"};
   }
-  *knobs_.save_converged = capture(/*quiescent=*/true);
+  *scenario_.save_converged = capture(/*quiescent=*/true);
 }
 
 sim::SimTime RunSkeleton::start_traffic() {
-  t_event_ = simulator_.now() + knobs_.settle_margin;
+  t_event_ = simulator_.now() + scenario_.settle_margin;
   std::vector<net::NodeId> sources;
   for (net::NodeId n = 0; n < topo_.node_count(); ++n) {
     if (n != meta_.destination) sources.push_back(n);
   }
-  traffic_.start(sources, t_event_ - knobs_.traffic_lead);
+  traffic_.start(sources, t_event_ - scenario_.traffic_lead);
   return t_event_;
 }
 
@@ -78,9 +81,9 @@ sim::SimTime RunSkeleton::run_to_quiescence(std::function<bool()> settled,
   // in place, re-save, and fail the run if the two byte streams differ. A
   // correct codec makes this a perfect no-op. In-place restores work with
   // periodic refresh too: scheduled events stay in the queue untouched.
-  if (knobs_.snap_roundtrip != SnapRoundtrip::kOff) {
-    simulator_.schedule_at(t_event_ + knobs_.snap_roundtrip_after, [this] {
-      if (knobs_.snap_roundtrip != SnapRoundtrip::kVerify) return;
+  if (scenario_.snap_roundtrip != SnapRoundtrip::kOff) {
+    simulator_.schedule_at(t_event_ + scenario_.snap_roundtrip_after, [this] {
+      if (scenario_.snap_roundtrip != SnapRoundtrip::kVerify) return;
       const snap::Snapshot before = capture(/*quiescent=*/false);
       restore(before);
       const snap::Snapshot after = capture(/*quiescent=*/false);
@@ -106,7 +109,7 @@ sim::SimTime RunSkeleton::run_to_quiescence(std::function<bool()> settled,
                                 [this] { simulator_.clear_pending(); });
       return;
     }
-    if (simulator_.now() >= knobs_.max_sim_time) {
+    if (simulator_.now() >= scenario_.max_sim_time) {
       timed_out = true;
       simulator_.clear_pending();
       return;
@@ -115,7 +118,7 @@ sim::SimTime RunSkeleton::run_to_quiescence(std::function<bool()> settled,
   };
   simulator_.schedule_at(first_poll, poll);
 
-  simulator_.run_until(knobs_.max_sim_time + sim::SimTime::seconds(10));
+  simulator_.run_until(scenario_.max_sim_time + sim::SimTime::seconds(10));
   if (timed_out || simulator_.pending() > 0) {
     throw std::runtime_error{label() +
                              "scenario did not converge within max_sim_time"};

@@ -36,20 +36,20 @@ struct SnapshotExtras {
 
 class RunSkeleton {
  public:
-  /// `scenario` is a Scenario, DvScenario or LsScenario: the skeleton
-  /// reads the run knobs all three spell the same way. `driver`,
-  /// `config_hash` and `destination` complete the run's snapshot identity.
-  /// `oracle`, if set, judges the warm-start echo and a diverged
-  /// round-trip probe. Routes the plane's fates and the traffic's
+  /// The skeleton reads the run knobs from `scenario`, which must outlive
+  /// it. `driver`, `config_hash` and `destination` complete the run's
+  /// snapshot identity. `oracle`, if set, judges the warm-start echo and a
+  /// diverged round-trip probe. Routes the plane's fates and the traffic's
   /// injections into `collector`.
-  template <typename S, typename Network>
-  RunSkeleton(const S& scenario, snap::DriverKind driver,
+  template <typename Network>
+  RunSkeleton(const ScenarioBase& scenario, snap::DriverKind driver,
               std::uint64_t config_hash, net::NodeId destination,
               sim::Simulator& simulator, const net::Topology& topo,
               Network& network, fwd::DataPlane& plane,
               fwd::TrafficGenerator& traffic, metrics::Collector& collector,
               check::Oracle* oracle = nullptr, SnapshotExtras extras = {})
-      : simulator_{simulator},
+      : scenario_{scenario},
+        simulator_{simulator},
         topo_{topo},
         plane_{plane},
         traffic_{traffic},
@@ -61,10 +61,6 @@ class RunSkeleton {
               .seed = scenario.seed,
               .destination = destination,
               .originated = scenario.event != EventKind::kTup},
-        knobs_{scenario.traffic_lead,  scenario.settle_margin,
-               scenario.max_sim_time,  scenario.save_converged,
-               scenario.warm_start,    scenario.snap_roundtrip,
-               scenario.snap_roundtrip_after},
         network_{&network},
         save_network_{[](const RunSkeleton& run, snap::Writer& w) {
           save_run_state(w, run.simulator_,
@@ -121,21 +117,15 @@ class RunSkeleton {
       std::optional<sim::SimTime> last_update_at = std::nullopt) const;
 
  private:
-  struct Knobs {
-    sim::SimTime traffic_lead, settle_margin, max_sim_time;
-    snap::Snapshot* save_converged;
-    const snap::Snapshot* warm_start;
-    SnapRoundtrip snap_roundtrip;
-    sim::SimTime snap_roundtrip_after;
-  };
-
   /// Capture the complete run state. `quiescent` only when the event queue
-  /// is empty.
-  [[nodiscard]] snap::Snapshot capture(bool quiescent) const;
+  /// is empty; `reserve` presizes the payload buffer when its size is known.
+  [[nodiscard]] snap::Snapshot capture(bool quiescent,
+                                       std::size_t reserve = 0) const;
   void restore(const snap::Snapshot& snapshot);
   /// Error-text prefix: none for BGP, "dv " and "ls " for the baselines.
   [[nodiscard]] std::string label() const;
 
+  const ScenarioBase& scenario_;
   sim::Simulator& simulator_;
   const net::Topology& topo_;
   fwd::DataPlane& plane_;
@@ -143,7 +133,6 @@ class RunSkeleton {
   metrics::Collector& collector_;
   check::Oracle* oracle_;
   snap::SnapshotMeta meta_;
-  Knobs knobs_;
   sim::SimTime t_event_;
   // The driver's network, typed again by the two functions the constructor
   // instantiates for it. Function pointers, not std::function closures: two

@@ -71,13 +71,7 @@ std::string TopologySpec::label() const {
 
 std::string Scenario::label() const {
   std::string label = topology.label() + " " + to_string(event) + " " +
-                      [this] {
-                        if (bgp.ssld) return "SSLD";
-                        if (bgp.wrate) return "WRATE";
-                        if (bgp.assertion) return "Assertion";
-                        if (bgp.ghost_flushing) return "GhostFlush";
-                        return "BGP";
-                      }();
+                      bgp::to_string(bgp.enhancement());
   if (policy_routing) label += " (policy)";
   if (prefixes > 1) label += " x" + std::to_string(prefixes) + "pfx";
   return label;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bgp/config.hpp"
@@ -37,24 +38,35 @@ enum class TopologyKind {
   kRelFile,   // CAIDA AS-relationship file; size derived from the file
 };
 
-[[nodiscard]] constexpr const char* to_string(TopologyKind k) {
-  switch (k) {
-    case TopologyKind::kClique:
-      return "Clique";
-    case TopologyKind::kBClique:
-      return "B-Clique";
-    case TopologyKind::kChain:
-      return "Chain";
-    case TopologyKind::kRing:
-      return "Ring";
-    case TopologyKind::kInternet:
-      return "Internet";
-    case TopologyKind::kAsGraph:
-      return "AS-Graph";
-    case TopologyKind::kRelFile:
-      return "RelFile";
+/// An enumerator with its scenario-file key and its label.
+template <typename E>
+struct Named {
+  E value;
+  std::string_view key;
+  const char* label = nullptr;
+};
+
+inline constexpr Named<TopologyKind> kTopologyKinds[] = {
+    {TopologyKind::kClique, "clique", "Clique"},
+    {TopologyKind::kBClique, "bclique", "B-Clique"},
+    {TopologyKind::kChain, "chain", "Chain"},
+    {TopologyKind::kRing, "ring", "Ring"},
+    {TopologyKind::kInternet, "internet", "Internet"},
+    {TopologyKind::kAsGraph, "asgraph", "AS-Graph"},
+    {TopologyKind::kRelFile, "relfile", "RelFile"},
+};
+
+/// The label of `v` in `names`, or "?".
+template <typename E, std::size_t N>
+[[nodiscard]] constexpr const char* label_of(const Named<E> (&names)[N], E v) {
+  for (const Named<E>& named : names) {
+    if (named.value == v) return named.label;
   }
   return "?";
+}
+
+[[nodiscard]] constexpr const char* to_string(TopologyKind k) {
+  return label_of(kTopologyKinds, k);
 }
 
 /// Kinds whose generator/loader supplies business relationships, i.e. the
@@ -108,18 +120,15 @@ enum class EventKind {
   kFlap,
 };
 
+inline constexpr Named<EventKind> kEventKinds[] = {
+    {EventKind::kTdown, "tdown", "Tdown"},
+    {EventKind::kTlong, "tlong", "Tlong"},
+    {EventKind::kTup, "tup", "Tup"},
+    {EventKind::kFlap, "flap", "Flap"},
+};
+
 [[nodiscard]] constexpr const char* to_string(EventKind e) {
-  switch (e) {
-    case EventKind::kTdown:
-      return "Tdown";
-    case EventKind::kTlong:
-      return "Tlong";
-    case EventKind::kTup:
-      return "Tup";
-    case EventKind::kFlap:
-      return "Flap";
-  }
-  return "?";
+  return label_of(kEventKinds, e);
 }
 
 /// Mid-run serialize/deserialize probe (fault injection for the snapshot
@@ -129,38 +138,20 @@ enum class EventKind {
 /// kNoop and a kVerify run replay identically when the codec is correct.
 enum class SnapRoundtrip { kOff, kNoop, kVerify };
 
-struct Scenario {
+/// The fields every driver's scenario shares (Scenario for BGP, DvScenario
+/// and LsScenario for the baselines): what to build, what to break, the
+/// substrate's delays and traffic, the run's timing and its checkpoint
+/// hooks. core/scenario_fields.hpp describes each value field once.
+struct ScenarioBase {
   TopologySpec topology;
   EventKind event = EventKind::kTdown;
 
-  bgp::BgpConfig bgp;              // MRAI, jitter, enhancement flags
   net::ProcessingDelay processing; // default U[0.1 s, 0.5 s] (§4.2)
   fwd::TrafficConfig traffic;      // default 10 pkt/s, TTL 128 (§4.2)
-
-  /// Run with Gao-Rexford policy routing (prefer-customer import,
-  /// no-valley export) instead of the paper's shortest-path policy.
-  /// Requires a policy-capable topology kind (Internet, AS-Graph, or a
-  /// relationship file — they supply the business relationships). See
-  /// bench/ablation_policy and bench/headline_policy_scale.
-  bool policy_routing = false;
 
   /// Root seed: drives jitter, processing delays, traffic stagger, and the
   /// destination / failed-link choice on Internet topologies.
   std::uint64_t seed = 1;
-
-  /// Number of prefixes in the routing table (the full-table workload).
-  /// 1 (the default) runs exactly the paper's single-prefix experiment —
-  /// every multi-prefix code path is gated off. With P > 1, prefix 0
-  /// originates at `destination` and Tdown withdraws *every* prefix the
-  /// destination originates (the correlated-failure event); advertisements
-  /// and withdrawals leave each origin batched per peer, and receivers run
-  /// one decision pass per touched prefix per batch.
-  std::size_t prefixes = 1;
-
-  /// Origin ASes for prefixes 1..P-1, applied cycled (prefix i ≥ 1
-  /// originates at origins[(i-1) % origins.size()]). Empty: every prefix
-  /// originates at `destination` (the fully correlated full table).
-  std::vector<net::NodeId> origins;
 
   /// Destination AS. Default: node 0 for Clique/B-Clique/Chain/Ring (the
   /// paper's convention); a random lowest-degree node for Internet.
@@ -171,9 +162,6 @@ struct Scenario {
   /// (kFlap fails and restores the same link.)
   std::optional<net::LinkId> tlong_link;
 
-  /// How long a kFlap failure lasts before the link is restored.
-  sim::SimTime flap_interval = sim::SimTime::seconds(15);
-
   /// Traffic begins this long before the event so loops forming at the
   /// event instant already see packets.
   sim::SimTime traffic_lead = sim::SimTime::seconds(2);
@@ -183,17 +171,6 @@ struct Scenario {
 
   /// Safety cap on total simulated time; exceeded => runtime_error.
   sim::SimTime max_sim_time = sim::SimTime::seconds(50000);
-
-  /// Optional caller-owned route-change trace sink. When set, the run
-  /// records update transmissions, best-path changes, loop formation /
-  /// resolution, and the event injection itself (see metrics/trace.hpp).
-  metrics::TraceRecorder* trace = nullptr;
-
-  /// Optional caller-owned invariant oracle (check/oracle.hpp). When set,
-  /// the run arms it, feeds it every speaker/FIB event, and checks the
-  /// converged state against the offline reference at quiescence. The
-  /// caller inspects oracle->ok() / violations() afterwards.
-  check::Oracle* oracle = nullptr;
 
   /// When set, the run writes a checkpoint of the fully converged prelude
   /// (immediately before traffic/event scheduling) into *save_converged.
@@ -210,6 +187,45 @@ struct Scenario {
 
   /// Probe offset after the event injection time.
   sim::SimTime snap_roundtrip_after = sim::SimTime::seconds(5);
+};
+
+struct Scenario : ScenarioBase {
+  bgp::BgpConfig bgp;  // MRAI, jitter, enhancement flags
+
+  /// Run with Gao-Rexford policy routing (prefer-customer import,
+  /// no-valley export) instead of the paper's shortest-path policy.
+  /// Requires a policy-capable topology kind (Internet, AS-Graph, or a
+  /// relationship file — they supply the business relationships). See
+  /// bench/ablation_policy and bench/headline_policy_scale.
+  bool policy_routing = false;
+
+  /// Number of prefixes in the routing table (the full-table workload).
+  /// 1 (the default) runs exactly the paper's single-prefix experiment —
+  /// every multi-prefix code path is gated off. With P > 1, prefix 0
+  /// originates at `destination` and Tdown withdraws *every* prefix the
+  /// destination originates (the correlated-failure event); advertisements
+  /// and withdrawals leave each origin batched per peer, and receivers run
+  /// one decision pass per touched prefix per batch.
+  std::size_t prefixes = 1;
+
+  /// Origin ASes for prefixes 1..P-1, applied cycled (prefix i ≥ 1
+  /// originates at origins[(i-1) % origins.size()]). Empty: every prefix
+  /// originates at `destination` (the fully correlated full table).
+  std::vector<net::NodeId> origins;
+
+  /// How long a kFlap failure lasts before the link is restored.
+  sim::SimTime flap_interval = sim::SimTime::seconds(15);
+
+  /// Optional caller-owned route-change trace sink. When set, the run
+  /// records update transmissions, best-path changes, loop formation /
+  /// resolution, and the event injection itself (see metrics/trace.hpp).
+  metrics::TraceRecorder* trace = nullptr;
+
+  /// Optional caller-owned invariant oracle (check/oracle.hpp). When set,
+  /// the run arms it, feeds it every speaker/FIB event, and checks the
+  /// converged state against the offline reference at quiescence. The
+  /// caller inspects oracle->ok() / violations() afterwards.
+  check::Oracle* oracle = nullptr;
 
   [[nodiscard]] std::string label() const;
 };

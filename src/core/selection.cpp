@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "topo/generators.hpp"
@@ -24,7 +25,7 @@ net::NodeId choose_destination(TopologyKind kind, EventKind event,
   if (!policy_capable(kind)) return 0;
 
   const bool needs_failable_link =
-      event == EventKind::kTlong || event == EventKind::kFlap;
+      survivable_destination(kind, event, /*fixed=*/false);
 
   // Internet-scale kinds: the exhaustive survivability filter below runs a
   // BFS per candidate link and a full-graph widening pass — fine at the
@@ -122,5 +123,37 @@ net::LinkId choose_tlong_link(TopologyKind kind, std::size_t size,
   return usable[rng.next_below(usable.size())];
 }
 
+void check_scenario(const ScenarioBase& s, const net::Topology& topo) {
+  const auto out_of_range = [](const char* key, std::uint32_t v,
+                               std::size_t count, const char* unit) {
+    throw std::invalid_argument{std::string{key} + " " + std::to_string(v) +
+                                " out of range for " + std::to_string(count) +
+                                "-" + unit + " topology"};
+  };
+  if (s.settle_margin <= s.traffic_lead) {
+    throw std::invalid_argument{"settle_margin must exceed traffic_lead"};
+  }
+  const std::size_t nodes = topo.node_count();
+  if (s.destination >= nodes) {
+    out_of_range("destination", *s.destination, nodes, "node");
+  }
+  if (s.tlong_link >= topo.link_count()) {
+    out_of_range("tlong_link", *s.tlong_link, topo.link_count(), "link");
+  }
+}
+
+Targets choose_targets(const ScenarioBase& s, net::Topology& topo,
+                       const sim::Rng& root) {
+  check_scenario(s, topo);
+  sim::Rng rng = root.child("scenario");
+  Targets t;
+  t.destination =
+      choose_destination(s.topology.kind, s.event, s.destination, topo, rng);
+  if (s.event == EventKind::kTlong || s.event == EventKind::kFlap) {
+    t.failed_link = choose_tlong_link(s.topology.kind, s.topology.size,
+                                      s.tlong_link, topo, t.destination, rng);
+  }
+  return t;
+}
 
 }  // namespace bgpsim::core

@@ -15,6 +15,17 @@ namespace bgpsim::core {
 [[nodiscard]] bool removal_keeps_connected(net::Topology& topo,
                                            net::LinkId link);
 
+/// Whether choose_destination must pick a node that survives losing a
+/// link: a link event (Tlong, Flap) on a policy-capable topology without a
+/// fixed destination. It changes which destination converges, so every
+/// driver's prelude hash mixes it.
+[[nodiscard]] constexpr bool survivable_destination(TopologyKind kind,
+                                                    EventKind event,
+                                                    bool fixed) {
+  return !fixed && policy_capable(kind) &&
+         (event == EventKind::kTlong || event == EventKind::kFlap);
+}
+
 /// Pick the destination AS: the fixed choice if given; node 0 for regular
 /// families; a random lowest-degree node for Internet topologies (for
 /// Tlong, one that can lose a link without disconnecting).
@@ -39,20 +50,15 @@ struct Targets {
   std::optional<net::LinkId> failed_link;
 };
 
-/// choose_destination, then choose_tlong_link for a link event, both on
-/// the run's "scenario" stream of `root`. `S` is any scenario type.
-template <typename S>
-[[nodiscard]] Targets choose_targets(const S& s, net::Topology& topo,
-                                     const sim::Rng& root) {
-  sim::Rng rng = root.child("scenario");
-  Targets t;
-  t.destination =
-      choose_destination(s.topology.kind, s.event, s.destination, topo, rng);
-  if (s.event == EventKind::kTlong || s.event == EventKind::kFlap) {
-    t.failed_link = choose_tlong_link(s.topology.kind, s.topology.size,
-                                      s.tlong_link, topo, t.destination, rng);
-  }
-  return t;
-}
+/// Throws std::invalid_argument naming the key when `s` cannot run on
+/// `topo`: its destination or tlong_link is not in it, or its
+/// settle_margin does not exceed its traffic_lead.
+void check_scenario(const ScenarioBase& s, const net::Topology& topo);
+
+/// check_scenario, then choose_destination and, for a link event,
+/// choose_tlong_link, both on the run's "scenario" stream of `root`.
+[[nodiscard]] Targets choose_targets(const ScenarioBase& s,
+                                     net::Topology& topo,
+                                     const sim::Rng& root);
 
 }  // namespace bgpsim::core

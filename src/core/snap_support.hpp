@@ -114,14 +114,14 @@ inline void require_meta_match(const snap::SnapshotMeta& meta,
          " does not match this scenario's topology (" +
          std::to_string(topology_hash) + ")");
   }
+  if (meta.seed != seed) {
+    fail("snapshot seed " + std::to_string(meta.seed) +
+         " != scenario seed " + std::to_string(seed));
+  }
   if (meta.config_hash != config_hash) {
     fail("config hash " + std::to_string(meta.config_hash) +
          " does not match this scenario's prelude hash (" +
          std::to_string(config_hash) + ")");
-  }
-  if (meta.seed != seed) {
-    fail("snapshot seed " + std::to_string(meta.seed) +
-         " != scenario seed " + std::to_string(seed));
   }
   if (meta.destination != destination) {
     fail("snapshot destination " + std::to_string(meta.destination) +

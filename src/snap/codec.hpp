@@ -68,6 +68,7 @@ class Hasher {
 /// Appends little-endian fixed-width values to a byte buffer.
 class Writer {
  public:
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void b(bool v) { u8(v ? 1 : 0); }
   void u32(std::uint32_t v) { put(static_cast<std::uint64_t>(v), 4); }

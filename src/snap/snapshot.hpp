@@ -48,7 +48,9 @@ namespace bgpsim::snap {
 /// contract (ring cohorts or the binary-heap reference), so snapshots
 /// are portable across hop-store backends; the bump fences off
 /// v4 builds whose data plane cannot restore into a ring store.
-inline constexpr std::uint32_t kFormatVersion = 5;
+/// v6: config_hash is the one prelude hash of all three drivers, taken
+/// over the encoded bytes of the scenario's prelude-phase fields.
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 /// Byte offset of the format-version field inside encode() output —
 /// stable across versions (it sits directly behind the magic).

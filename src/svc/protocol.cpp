@@ -4,6 +4,7 @@
 #include <string>
 #include <utility>
 
+#include "core/scenario_fields.hpp"
 #include "metrics/loop_detector.hpp"
 #include "metrics/loop_stats.hpp"
 #include "metrics/stats.hpp"
@@ -295,75 +296,12 @@ void write_scenario(Writer& w, const core::Scenario& s) {
         "shipped to a worker; set policy_routing and let the driver build "
         "the table from the policy-capable topology"};
   }
-  w.u8(static_cast<std::uint8_t>(s.topology.kind));
-  w.u64(s.topology.size);
-  w.u64(s.topology.topo_seed);
-  w.str(s.topology.rel_file);
-  w.u8(static_cast<std::uint8_t>(s.event));
-  w.time(s.bgp.mrai);
-  w.f64(s.bgp.jitter_lo);
-  w.f64(s.bgp.jitter_hi);
-  w.b(s.bgp.ssld);
-  w.b(s.bgp.wrate);
-  w.b(s.bgp.assertion);
-  w.b(s.bgp.ghost_flushing);
-  w.time(s.bgp.backup_caution);
-  w.time(s.processing.min);
-  w.time(s.processing.max);
-  w.time(s.traffic.interval);
-  w.i64(s.traffic.ttl);
-  w.b(s.traffic.stagger);
-  w.b(s.policy_routing);
-  w.u64(s.seed);
-  w.b(s.destination.has_value());
-  if (s.destination) w.u32(*s.destination);
-  w.b(s.tlong_link.has_value());
-  if (s.tlong_link) w.u32(*s.tlong_link);
-  w.time(s.flap_interval);
-  w.time(s.traffic_lead);
-  w.time(s.settle_margin);
-  w.time(s.max_sim_time);
-  w.u8(static_cast<std::uint8_t>(s.snap_roundtrip));
-  w.time(s.snap_roundtrip_after);
-  w.u64(s.prefixes);
-  w.u64(s.origins.size());
-  for (const net::NodeId o : s.origins) w.u32(o);
+  core::for_each_field([&](const auto& f) { f.write(w, s); });
 }
 
 core::Scenario read_scenario(Reader& r) {
   core::Scenario s;
-  s.topology.kind = static_cast<core::TopologyKind>(r.u8());
-  s.topology.size = static_cast<std::size_t>(r.u64());
-  s.topology.topo_seed = r.u64();
-  s.topology.rel_file = r.str();
-  s.event = static_cast<core::EventKind>(r.u8());
-  s.bgp.mrai = r.time();
-  s.bgp.jitter_lo = r.f64();
-  s.bgp.jitter_hi = r.f64();
-  s.bgp.ssld = r.b();
-  s.bgp.wrate = r.b();
-  s.bgp.assertion = r.b();
-  s.bgp.ghost_flushing = r.b();
-  s.bgp.backup_caution = r.time();
-  s.processing.min = r.time();
-  s.processing.max = r.time();
-  s.traffic.interval = r.time();
-  s.traffic.ttl = static_cast<int>(r.i64());
-  s.traffic.stagger = r.b();
-  s.policy_routing = r.b();
-  s.seed = r.u64();
-  if (r.b()) s.destination = r.u32();
-  if (r.b()) s.tlong_link = r.u32();
-  s.flap_interval = r.time();
-  s.traffic_lead = r.time();
-  s.settle_margin = r.time();
-  s.max_sim_time = r.time();
-  s.snap_roundtrip = static_cast<core::SnapRoundtrip>(r.u8());
-  s.snap_roundtrip_after = r.time();
-  s.prefixes = static_cast<std::size_t>(r.u64());
-  const std::uint64_t n_origins = r.u64();
-  s.origins.reserve(static_cast<std::size_t>(n_origins));
-  for (std::uint64_t i = 0; i < n_origins; ++i) s.origins.push_back(r.u32());
+  core::for_each_field([&](const auto& f) { f.read(r, s); });
   return s;
 }
 

@@ -43,7 +43,9 @@ inline constexpr std::uint64_t kMagic = 0x0000637673706762ULL;
 /// v2: TopologySpec::rel_file added to the scenario payload.
 /// v3: multi-prefix — the scenario payload carries prefixes + origins and
 ///     the outcome payload carries the per-prefix metric lanes.
-inline constexpr std::uint32_t kProtocolVersion = 3;
+/// v4: the scenario payload is the field table's rows, in table order
+///     (core/scenario_fields.hpp).
+inline constexpr std::uint32_t kProtocolVersion = 4;
 
 /// The version this build speaks — what goes into every frame header, the
 /// svcd journal file header, and admin STATUS lines. One accessor so the
@@ -143,12 +145,12 @@ struct UnitError {
 
 // ---- value codecs ----------------------------------------------------------
 
-/// Serialize every value field of a Scenario (topology, event, protocol
-/// config, processing/traffic parameters, seeds, overrides, timing knobs,
-/// snapshot-probe mode). Caller-owned observation hooks (trace, oracle,
-/// save_converged, warm_start) and a non-null bgp.policy table cannot
-/// cross a process boundary; write_scenario throws std::invalid_argument
-/// if any is set, so a campaign never silently drops an observer.
+/// Serialize every value field of a Scenario: each row of the field table
+/// (core/scenario_fields.hpp), in table order. Caller-owned observation
+/// hooks (trace, oracle, save_converged, warm_start) and a non-null
+/// bgp.policy table cannot cross a process boundary; write_scenario
+/// throws std::invalid_argument if any is set, so a campaign never
+/// silently drops an observer.
 void write_scenario(snap::Writer& w, const core::Scenario& s);
 [[nodiscard]] core::Scenario read_scenario(snap::Reader& r);
 

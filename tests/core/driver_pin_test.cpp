@@ -102,11 +102,11 @@ const auto run_ls = [](const LsScenario& s) { return run_ls_experiment(s); };
 TEST(DriverPinTest, DvTriggeredOnly) {
   const std::pair<EventKind, Pinned> cases[] = {
       {EventKind::kTdown,
-       {0x38e976e3bf243e79ULL, 0x7ae72f1acdb98eacULL, 0x69995eb672302c59ULL}},
+       {0x38e976e3bf243e79ULL, 0x7ae72f1acdb98eacULL, 0x8c57e04abc4aa00fULL}},
       {EventKind::kTlong,
-       {0xef85380422e016a0ULL, 0x7ae72f1acdb98eacULL, 0x69995eb672302c59ULL}},
+       {0xef85380422e016a0ULL, 0x7ae72f1acdb98eacULL, 0x8c57e04abc4aa00fULL}},
       {EventKind::kTup,
-       {0x32b3e9c81fa7b98fULL, 0x39a73a28f967f143ULL, 0xbabf19ca5c17c4ddULL}},
+       {0x32b3e9c81fa7b98fULL, 0x39a73a28f967f143ULL, 0x8d04dbf4bd0f9aa8ULL}},
   };
   for (const auto& [event, pinned] : cases) {
     SCOPED_TRACE(to_string(event));
@@ -133,11 +133,11 @@ TEST(DriverPinTest, DvPeriodic) {
 TEST(DriverPinTest, Ls) {
   const std::pair<EventKind, Pinned> cases[] = {
       {EventKind::kTdown,
-       {0xb34451ce8b5d6ea8ULL, 0x25a7398968b5d7a4ULL, 0x0d7e9ae849a712fcULL}},
+       {0xb34451ce8b5d6ea8ULL, 0x25a7398968b5d7a4ULL, 0xad2a0be6e6a68156ULL}},
       {EventKind::kTlong,
-       {0x2208441b9a6720a2ULL, 0x25a7398968b5d7a4ULL, 0x0d7e9ae849a712fcULL}},
+       {0x2208441b9a6720a2ULL, 0x25a7398968b5d7a4ULL, 0xad2a0be6e6a68156ULL}},
       {EventKind::kTup,
-       {0xfcfce082dd5428eaULL, 0x321cd26f47f498ffULL, 0x634ad7d2a45cdb59ULL}},
+       {0xfcfce082dd5428eaULL, 0x321cd26f47f498ffULL, 0x6e80e97580e70535ULL}},
   };
   for (const auto& [event, pinned] : cases) {
     SCOPED_TRACE(to_string(event));
@@ -181,7 +181,7 @@ TEST(DriverPinTest, WarmStartPerDriver) {
     const snap::Snapshot converged =
         expect_run_pinned(bgp_clique(), run_bgp,
                           {0x541ff5aaac3cf6bcULL, 0x1f77571a9a4fbb28ULL,
-                           0x5afac10a909b0d1dULL});
+                           0x6d23a7bf3d926216ULL});
     Scenario warm = bgp_clique();
     warm.warm_start = &converged;
     expect_pinned(run_experiment(warm), nullptr,
@@ -192,7 +192,7 @@ TEST(DriverPinTest, WarmStartPerDriver) {
     const DvScenario cold = dv_clique(EventKind::kTlong, /*periodic=*/false);
     const snap::Snapshot converged = expect_run_pinned(
         cold, run_dv,
-        {0xef85380422e016a0ULL, 0x7ae72f1acdb98eacULL, 0x69995eb672302c59ULL});
+        {0xef85380422e016a0ULL, 0x7ae72f1acdb98eacULL, 0x8c57e04abc4aa00fULL});
     DvScenario warm = cold;
     warm.warm_start = &converged;
     expect_pinned(run_dv_experiment(warm), nullptr,
@@ -203,7 +203,7 @@ TEST(DriverPinTest, WarmStartPerDriver) {
     const LsScenario cold = ls_ring(EventKind::kTdown);
     const snap::Snapshot converged = expect_run_pinned(
         cold, run_ls,
-        {0xb34451ce8b5d6ea8ULL, 0x25a7398968b5d7a4ULL, 0x0d7e9ae849a712fcULL});
+        {0xb34451ce8b5d6ea8ULL, 0x25a7398968b5d7a4ULL, 0xad2a0be6e6a68156ULL});
     LsScenario warm = cold;
     warm.warm_start = &converged;
     expect_pinned(run_ls_experiment(warm), nullptr,
@@ -222,8 +222,8 @@ TEST(DriverPinTest, BgpFlapPrelude) {
   s.seed = 17;
   (void)expect_run_pinned(
       s, run_bgp,
-      {0x9fce75df84204f35ULL, 0x0aabbe9e7dac164cULL, 0x1748c0eda3d8bb90ULL});
-  EXPECT_EQ(scenario_prelude_hash(s), 0x6236dde05fe09a54ULL)
+      {0x9fce75df84204f35ULL, 0x0aabbe9e7dac164cULL, 0x81450c2b3b6c9550ULL});
+  EXPECT_EQ(scenario_prelude_hash(s), 0x18bb1fd5158ff0e4ULL)
       << "prelude " << hex(scenario_prelude_hash(s));
 }
 

@@ -1,6 +1,7 @@
 // The prelude cache keys a relationship-file topology by the file's
 // content, not its path: editing the file between two runs must never
-// serve the converged prelude of the old graph.
+// serve the converged prelude of the old graph. And every driver's prelude
+// hash tells apart preludes that converge around different destinations.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -12,7 +13,9 @@
 #include <utility>
 #include <unistd.h>
 
+#include "core/dv_experiment.hpp"
 #include "core/experiment.hpp"
+#include "core/ls_experiment.hpp"
 #include "core/sweep.hpp"
 #include "snap/cache.hpp"
 #include "snap/snapshot.hpp"
@@ -141,6 +144,39 @@ TEST(PreludeCacheStaleEntryTest, MismatchedSnapshotIsEvictedAndReplaced) {
   EXPECT_EQ(digest(true), cold);
   cache.clear();
   cache.set_capacity(capacity);
+}
+
+// On an AS graph the destination of a link event must survive losing a
+// link, so a Tdown and a Tlong run converge around different destinations
+// (48 and 29 here). Their converged preludes must not share a config hash:
+// the baseline drivers mix the survivable-link filter exactly as the BGP
+// driver does.
+template <typename S, typename Run>
+void expect_link_event_preludes_differ(S s, Run run) {
+  s.topology.kind = TopologyKind::kAsGraph;
+  s.topology.size = 64;
+  s.seed = 5;
+  snap::Snapshot tdown;
+  snap::Snapshot tlong;
+  s.event = EventKind::kTdown;
+  s.save_converged = &tdown;
+  EXPECT_EQ(run(s).destination, 48U);
+  s.event = EventKind::kTlong;
+  s.save_converged = &tlong;
+  EXPECT_EQ(run(s).destination, 29U);
+  EXPECT_NE(tdown.meta().config_hash, tlong.meta().config_hash);
+}
+
+TEST(PreludeHashTest, DvLinkEventOnAsGraphHasItsOwnPrelude) {
+  DvScenario s;
+  s.dv.periodic = sim::SimTime::zero();  // checkpoints need triggered-only
+  expect_link_event_preludes_differ(
+      s, [](const DvScenario& x) { return run_dv_experiment(x); });
+}
+
+TEST(PreludeHashTest, LsLinkEventOnAsGraphHasItsOwnPrelude) {
+  expect_link_event_preludes_differ(
+      LsScenario{}, [](const LsScenario& x) { return run_ls_experiment(x); });
 }
 
 }  // namespace

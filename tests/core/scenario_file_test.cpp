@@ -328,6 +328,89 @@ TEST(ScenarioFile, RejectsMalformedOriginLists) {
                std::runtime_error);
 }
 
+/// The message of the error parsing `text`, or "" if it parses.
+std::string parse_error(const std::string& text) {
+  try {
+    (void)parse_scenario_string(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ScenarioFile, RejectsNegativeIntegers) {
+  // A wrapping parse would turn each into a huge value; none is ever run.
+  for (const char* key :
+       {"size", "topo_seed", "seed", "ttl", "destination", "tlong_link"}) {
+    SCOPED_TRACE(key);
+    const std::string size = key == std::string{"size"} ? "" : "size = 4\n";
+    const std::string what = parse_error("topology = clique\n" + size +
+                                         std::string{key} + " = -3\n");
+    EXPECT_NE(what.find(std::string{key} + " must be non-negative"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(ScenarioFile, RejectsTtlBeyondInt) {
+  // 4294967424 = 2^32 + 128 would truncate to TTL 128.
+  const std::string what =
+      parse_error("topology = clique\nsize = 4\nttl = 4294967424\n");
+  EXPECT_NE(what.find("ttl = 4294967424 is out of range"), std::string::npos)
+      << what;
+}
+
+TEST(ScenarioFile, RejectsSecondsBeyondSimTime) {
+  // 1e300 s overflows SimTime's microseconds: it would run as a negative
+  // MRAI.
+  for (const char* key : {"mrai", "caution", "flap_s", "processing_max_ms"}) {
+    SCOPED_TRACE(key);
+    const std::string what = parse_error(
+        "topology = clique\nsize = 4\n" + std::string{key} + " = 1e300\n");
+    EXPECT_NE(what.find(std::string{key} + " = 1e300 is beyond"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(ScenarioFile, RejectsNegativeDelaysAndJitter) {
+  for (const char* key :
+       {"processing_min_ms", "processing_max_ms", "jitter_lo", "jitter_hi"}) {
+    SCOPED_TRACE(key);
+    const std::string what = parse_error(
+        "topology = clique\nsize = 4\n" + std::string{key} + " = -0.5\n");
+    EXPECT_NE(what.find(std::string{key} + " must be non-negative"),
+              std::string::npos)
+        << what;
+  }
+}
+
+TEST(ScenarioFile, RejectsTrafficRateBelowOneMicrosecond) {
+  // 1e7 packets per second is a 0.1 us interval, which rounds to 0 us.
+  const std::string what =
+      parse_error("topology = clique\nsize = 4\ntraffic_pps = 1e7\n");
+  EXPECT_NE(what.find("traffic_pps = 1e7"), std::string::npos) << what;
+  EXPECT_EQ(parse_error("topology = clique\nsize = 4\ntraffic_pps = 1e5\n"),
+            "");
+}
+
+TEST(ScenarioFile, DestinationAndTlongLinkMustBeInTheTopology) {
+  // A 4-node clique has 6 links; either override past them would index
+  // out of range in the run.
+  std::string what =
+      parse_error("topology = clique\nsize = 4\ndestination = 99\n");
+  EXPECT_NE(what.find("destination 99 out of range for 4-node topology"),
+            std::string::npos)
+      << what;
+  what = parse_error(
+      "topology = clique\nsize = 4\nevent = tlong\ntlong_link = 99\n");
+  EXPECT_NE(what.find("tlong_link 99 out of range for 6-link topology"),
+            std::string::npos)
+      << what;
+  EXPECT_EQ(parse_error("topology = bclique\nsize = 4\ndestination = 7\n"),
+            "");
+}
+
 TEST(ScenarioFile, ParsedScenarioActuallyRuns) {
   const auto s = parse_scenario_string(
       "topology = clique\nsize = 5\nevent = tdown\nseed = 2\n");
