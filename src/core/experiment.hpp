@@ -16,7 +16,10 @@ struct ExperimentOutcome {
   net::NodeId destination = net::kInvalidNode;
   std::optional<net::LinkId> failed_link;  // engaged for Tlong
   double initial_convergence_s = 0;        // cold-start convergence
-  std::uint64_t events_fired = 0;          // simulator events, whole run
+  /// Simulator handler firings over the whole run: an engine cost that
+  /// depends on the data-plane backend, so it stays in-process, outside
+  /// every digest and the svc wire.
+  std::uint64_t events_fired = 0;
   /// Data-plane work (fwd::DataPlane counters): packet hops and trajectory
   /// predictions. Observability only: outside the digest and the svc
   /// wire, so an outcome that crossed a process carries zeros.

@@ -21,19 +21,16 @@ std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Deterministic digest contribution of one iteration: the seed, whether
-/// it failed, and (for completed runs) the outcome numbers that any
-/// behavioral drift would move first.
-std::uint64_t iteration_fingerprint(std::uint64_t scenario_seed,
-                                    const std::optional<ExperimentOutcome>& out,
-                                    std::uint64_t violations_seen,
-                                    std::uint64_t observations) {
+}  // namespace
+
+std::uint64_t fuzz_iteration_fingerprint(
+    std::uint64_t scenario_seed, const std::optional<ExperimentOutcome>& out,
+    std::uint64_t violations_seen, std::uint64_t observations) {
   std::uint64_t h = fnv_mix(kFnvOffset, scenario_seed);
   h = fnv_mix(h, violations_seen);
   h = fnv_mix(h, observations);
   if (!out) return fnv_mix(h, 0xdeadULL);  // run threw
   const metrics::RunMetrics& m = out->metrics;
-  h = fnv_mix(h, out->events_fired);
   h = fnv_mix(h, m.updates_sent_total);
   h = fnv_mix(h, m.ttl_exhaustions);
   h = fnv_mix(h, static_cast<std::uint64_t>(m.loops_formed));
@@ -41,6 +38,8 @@ std::uint64_t iteration_fingerprint(std::uint64_t scenario_seed,
   h = fnv_mix(h, std::bit_cast<std::uint64_t>(m.looping_duration_s));
   return h;
 }
+
+namespace {
 
 check::Oracle make_oracle(const FuzzOptions& options) {
   if (options.make_oracle) return options.make_oracle();
@@ -67,7 +66,7 @@ IterationResult run_once(Scenario scenario, std::uint64_t scenario_seed,
     error = e.what();
   }
 
-  result.fingerprint = iteration_fingerprint(
+  result.fingerprint = fuzz_iteration_fingerprint(
       scenario_seed, outcome, oracle.violations_seen(), oracle.observations());
 
   const bool vacuous = outcome && oracle.observations() == 0;

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "check/oracle.hpp"
+#include "core/experiment.hpp"
 #include "core/scenario.hpp"
 
 namespace bgpsim::core {
@@ -85,6 +86,13 @@ struct FuzzReport {
 /// multiprefix); false leaves the classic scenario untouched.
 [[nodiscard]] Scenario fuzz_scenario(std::uint64_t scenario_seed,
                                      bool multiprefix = false);
+
+/// Digest contribution of one iteration: the seed, the oracle's verdict,
+/// and (for completed runs) the outcome numbers that any behavioral drift
+/// would move first. Engine counts (events_fired) stay out of it.
+[[nodiscard]] std::uint64_t fuzz_iteration_fingerprint(
+    std::uint64_t scenario_seed, const std::optional<ExperimentOutcome>& out,
+    std::uint64_t violations_seen, std::uint64_t observations);
 
 /// Run one scenario seed with the oracle armed — the --replay entry point.
 /// Returns the failure record, or nullopt if the run was clean.

@@ -307,10 +307,11 @@ core::Scenario read_scenario(Reader& r) {
 
 namespace {
 
-/// The shared outcome body. The wire codec always appends the per-prefix
-/// lane section (it is versioned); the digest writer passes
-/// `lanes_even_if_empty = false` so a single-prefix outcome hashes to
-/// exactly its pre-v3 bytes — every historical campaign digest holds.
+/// The shared outcome body: what the model computed, never what the engine
+/// spent computing it (ExperimentOutcome::events_fired stays in-process).
+/// The wire codec always appends the per-prefix lane section (it is
+/// versioned); the digest writer passes `lanes_even_if_empty = false` so a
+/// single-prefix outcome hashes without an empty lane section.
 void write_outcome_impl(Writer& w, const core::ExperimentOutcome& o,
                         bool lanes_even_if_empty) {
   const metrics::RunMetrics& m = o.metrics;
@@ -351,7 +352,6 @@ void write_outcome_impl(Writer& w, const core::ExperimentOutcome& o,
   w.b(o.failed_link.has_value());
   if (o.failed_link) w.u32(*o.failed_link);
   w.f64(o.initial_convergence_s);
-  w.u64(o.events_fired);
   if (lanes_even_if_empty || !m.per_prefix.empty()) {
     w.u64(m.per_prefix.size());
     for (const metrics::RunMetrics::PrefixLane& lane : m.per_prefix) {
@@ -412,7 +412,6 @@ core::ExperimentOutcome read_outcome(Reader& r) {
   o.destination = r.u32();
   if (r.b()) o.failed_link = r.u32();
   o.initial_convergence_s = r.f64();
-  o.events_fired = r.u64();
   const std::uint64_t n_lanes = r.u64();
   m.per_prefix.resize(static_cast<std::size_t>(n_lanes));
   for (metrics::RunMetrics::PrefixLane& lane : m.per_prefix) {

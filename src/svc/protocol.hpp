@@ -45,7 +45,9 @@ inline constexpr std::uint64_t kMagic = 0x0000637673706762ULL;
 ///     the outcome payload carries the per-prefix metric lanes.
 /// v4: the scenario payload is the field table's rows, in table order
 ///     (core/scenario_fields.hpp).
-inline constexpr std::uint32_t kProtocolVersion = 4;
+/// v5: the outcome payload drops events_fired, an engine count that
+///     differs between data-plane backends (so it leaves the digests too).
+inline constexpr std::uint32_t kProtocolVersion = 5;
 
 /// The version this build speaks — what goes into every frame header, the
 /// svcd journal file header, and admin STATUS lines. One accessor so the
