@@ -98,9 +98,6 @@ class EventQueue {
   /// queued events exactly as a push at the same moment would.
   std::uint64_t take_seq() { return next_seq_++; }
 
-  /// Consume `n` sequence numbers at once (n back-to-back take_seq calls).
-  void take_seqs(std::uint64_t n) { next_seq_ += n; }
-
   /// Remove and return the earliest live event's callback, along with its
   /// firing time. Requires !empty().
   struct Fired {

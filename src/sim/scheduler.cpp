@@ -40,14 +40,12 @@ void Simulator::arm_external(SimTime when) {
   ext_armed_ = true;
 }
 
-void Simulator::advance_external(SimTime when, std::uint64_t n) {
+void Simulator::advance_external(SimTime when) {
   if (when < now_ || when >= ext_horizon_) {
     throw std::logic_error{
         "Simulator::advance_external: outside the handler's horizon"};
   }
   now_ = when;
-  fired_ += n;
-  queue_.take_seqs(n);
 }
 
 std::uint64_t Simulator::run_until(SimTime limit) {
@@ -58,7 +56,8 @@ std::uint64_t Simulator::run_until(SimTime limit) {
   for (;;) {
     if (queue_.empty()) {
       if (!ext_armed_ || ext_time_ > limit) break;
-      n += fire_external(past_limit);
+      fire_external(past_limit);
+      ++n;
       continue;
     }
     // One front observation per iteration: the merge against the external
@@ -70,7 +69,8 @@ std::uint64_t Simulator::run_until(SimTime limit) {
     if (ext_armed_ && (ext_time_ < front_time ||
                        (ext_time_ == front_time && ext_seq_ < front.seq))) {
       if (ext_time_ > limit) break;
-      n += fire_external(std::min(front_time, past_limit));
+      fire_external(std::min(front_time, past_limit));
+      ++n;
       continue;
     }
     if (front_time > limit) break;
@@ -99,9 +99,9 @@ void Simulator::consume_coincident(EventId id) {
     throw std::logic_error{
         "Simulator::consume_coincident: id is not the front of the queue"};
   }
-  // The clock is already at the event's time; it counts as fired so the
-  // events_fired ledger (fingerprints, snapshots) matches the sequential
-  // execution event for event.
+  // The clock is already at the event's time. It counts as fired: its work
+  // ran inside the batch, so events_fired (an engine count outside every
+  // digest) stays the number of handler firings a sequential run makes.
   queue_.consume_next();
   ++fired_;
 }

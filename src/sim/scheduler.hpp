@@ -59,8 +59,8 @@ class Simulator {
 
   /// Run until the queue drains or the next event lies beyond `limit`.
   /// Events at exactly `limit` do fire. The clock stays at the last fired
-  /// event's time (it does not jump to `limit`). Returns the number of
-  /// events fired.
+  /// event's time, or the last instant the external handler advanced it to
+  /// (it does not jump to `limit`). Returns the number of events fired.
   std::uint64_t run_until(SimTime limit);
 
   /// Run until the queue drains. Returns the number of events fired.
@@ -110,16 +110,15 @@ class Simulator {
   /// cancel-and-reschedule through the queue would produce.
   void arm_external(SimTime when);
 
-  /// Batched firing. While its handler runs, the slot's owner may stand in
-  /// for further firings of its own that would come before every queued
-  /// event: any due strictly before external_horizon() (the queue's
-  /// earliest time, or just past the run_until limit; a step() allows
-  /// none). Each such firing would have been armed by the one before it,
-  /// so advance_external(when, n) accounts n of them exactly as n handler
-  /// round trips would: the clock moves to `when` (>= now(), < horizon),
-  /// events_fired grows by n, and n tie-break seqs are consumed.
+  /// Batched work. While its handler runs, the slot's owner may do the
+  /// work of its own instants that come before every queued event: any
+  /// due strictly before external_horizon() (the queue's earliest time,
+  /// or just past the run_until limit; a step() allows none), without a
+  /// handler round trip each. advance_external(when) moves the clock to
+  /// such an instant (>= now(), < horizon); it fires nothing, so
+  /// events_fired and the seq counter stay as they are.
   [[nodiscard]] SimTime external_horizon() const { return ext_horizon_; }
-  void advance_external(SimTime when, std::uint64_t n);
+  void advance_external(SimTime when);
 
   /// Time the slot is (or was last) armed for.
   [[nodiscard]] SimTime external_time() const { return ext_time_; }
@@ -134,7 +133,10 @@ class Simulator {
     return queue_.size() + (ext_armed_ ? 1 : 0);
   }
 
-  /// Total events fired since construction.
+  /// Handler firings since construction: queued events, coincident events
+  /// consumed in a batch, and external-slot firings. An engine cost, not a
+  /// model output: a component that batches its own work (the data plane)
+  /// fires fewer, so the count sits outside every digest.
   [[nodiscard]] std::uint64_t events_fired() const { return fired_; }
 
   /// Drop all pending events, including an armed external slot (the
@@ -178,16 +180,14 @@ class Simulator {
     return ext_seq_ < queue_.next_event_seq();
   }
 
-  /// Fire the slot; returns the events it accounted (1 plus any batched
-  /// firings the handler reported through advance_external).
-  std::uint64_t fire_external(SimTime horizon) {
+  /// Fire the slot, letting its handler batch work up to `horizon`.
+  void fire_external(SimTime horizon) {
     ext_armed_ = false;
     now_ = ext_time_;
     ext_horizon_ = horizon;
-    const std::uint64_t before = fired_++;
+    ++fired_;
     ext_handler_();
     ext_horizon_ = SimTime::zero();
-    return fired_ - before;
   }
 
   EventQueue queue_;

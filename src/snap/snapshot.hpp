@@ -50,7 +50,9 @@ namespace bgpsim::snap {
 /// v4 builds whose data plane cannot restore into a ring store.
 /// v6: config_hash is the one prelude hash of all three drivers, taken
 /// over the encoded bytes of the scenario's prelude-phase fields.
-inline constexpr std::uint32_t kFormatVersion = 6;
+/// v7: the data plane drops its hop seq counter and per-hop seqs; hops
+/// are written in ring order (arrival time, then FIFO).
+inline constexpr std::uint32_t kFormatVersion = 7;
 
 /// Byte offset of the format-version field inside encode() output —
 /// stable across versions (it sits directly behind the magic).
