@@ -11,6 +11,7 @@
 // the library proper (snapshot.cpp, cache.cpp) sits *above* those layers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -69,11 +70,11 @@ class Hasher {
 class Writer {
  public:
   void reserve(std::size_t bytes) { buf_.reserve(bytes); }
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  void u8(std::uint8_t v) { *claim(1) = v; }
   void b(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v) { put(static_cast<std::uint64_t>(v), 4); }
-  void u64(std::uint64_t v) { put(v, 8); }
-  void i64(std::int64_t v) { put(static_cast<std::uint64_t>(v), 8); }
+  void u32(std::uint32_t v) { put<4>(v); }
+  void u64(std::uint64_t v) { put<8>(v); }
+  void i64(std::int64_t v) { put<8>(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
@@ -82,22 +83,52 @@ class Writer {
   void time(sim::SimTime t) { i64(t.as_micros()); }
   void str(std::string_view s) {
     u64(s.size());
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    if (!s.empty()) std::memcpy(claim(s.size()), s.data(), s.size());
   }
 
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const& {
+    buf_.resize(len_);
     return buf_;
   }
-  [[nodiscard]] std::vector<std::uint8_t> take() && { return std::move(buf_); }
+  [[nodiscard]] std::vector<std::uint8_t> take() && {
+    buf_.resize(len_);
+    return std::move(buf_);
+  }
 
  private:
-  void put(std::uint64_t v, int n) {
-    for (int i = 0; i < n; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xffU));
+  /// The N low bytes of v, least significant first. The byte loop compiles
+  /// to one store on a little-endian host and stays correct on any other.
+  template <int N>
+  void put(std::uint64_t v) {
+    std::uint8_t* out = claim(N);
+    for (int i = 0; i < N; ++i) {
+      out[i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
   }
 
-  std::vector<std::uint8_t> buf_;
+  /// The next n bytes of the buffer, to be written by the caller.
+  std::uint8_t* claim(std::size_t n) {
+    if (buf_.size() - len_ < n) grow(n);
+    std::uint8_t* out = buf_.data() + len_;
+    len_ += n;
+    return out;
+  }
+
+  /// Make room for n more bytes: capacity doubles (from 64), and the
+  /// writable tail grows by at most a page beyond the request, so memory
+  /// is touched about as it is written. Out of line, so the inlined fast
+  /// path above is a compare and the stores.
+  [[gnu::noinline]] void grow(std::size_t n) {
+    const std::size_t need = len_ + n;
+    if (buf_.capacity() < need) {
+      buf_.reserve(std::max({need, 2 * buf_.capacity(), std::size_t{64}}));
+    }
+    buf_.resize(std::min(buf_.capacity(), std::max(need, len_ + 4096)));
+  }
+
+  /// [0, len_) holds the encoding; the rest of buf_ is room to write.
+  mutable std::vector<std::uint8_t> buf_;
+  std::size_t len_ = 0;
 };
 
 /// Bounds-checked reader over an encoded buffer. Every underrun throws

@@ -42,6 +42,25 @@ TEST(Codec, WriterReaderRoundTripAllTypes) {
   EXPECT_NO_THROW(r.finish());
 }
 
+TEST(Codec, WriterEmitsLittleEndianBytes) {
+  // A round trip cannot tell a little-endian encoder from one that copies
+  // host bytes, so the bytes themselves are pinned.
+  Writer w;
+  w.u32(0x01020304U);
+  w.u64(0x0102030405060708ULL);
+  w.i64(-2);
+  w.f64(-2.5);  // 0xc004000000000000
+  w.time(sim::SimTime::micros(0x0a0b0c0d0e));
+  const std::vector<std::uint8_t> want = {
+      0x04, 0x03, 0x02, 0x01,                          // u32
+      0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,  // u64
+      0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,  // i64
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xc0,  // f64
+      0x0e, 0x0d, 0x0c, 0x0b, 0x0a, 0x00, 0x00, 0x00,  // time (µs)
+  };
+  EXPECT_EQ(w.bytes(), want);
+}
+
 TEST(Codec, TruncationThrowsFormatError) {
   Writer w;
   w.u32(7);
